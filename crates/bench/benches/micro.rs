@@ -18,10 +18,11 @@
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
 //! steady-state operation performs — control-plane send, probe fire,
-//! trace append, coroutine handoff — and the run fails if a path gains
-//! an allocation. Timing rows tolerate noise; the allocation ledger is
-//! exact, so an accidental `clone()` or `Box::new` on a fast path is a
-//! deterministic failure rather than a 3%-slower shrug.
+//! VT begin/end pair, trace append, coroutine handoff — and the run
+//! fails if a path gains an allocation. Timing rows tolerate noise; the
+//! allocation ledger is exact, so an accidental `clone()` or `Box::new`
+//! on a fast path is a deterministic failure rather than a 3%-slower
+//! shrug.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -204,6 +205,21 @@ fn bench_check_primitives() {
         check_pingpong(iters, false)
     });
     bench("check/pingpong_1k_on", |iters| check_pingpong(iters, true));
+}
+
+fn bench_sim_clock() {
+    // The clock path under every probe, snippet and modelled cost: one
+    // charge and one read of the running process's virtual clock.
+    bench("sim/now_advance", |iters| {
+        in_virtual_proc(move |p| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                p.advance(SimTime::from_nanos(1));
+                black_box(p.now());
+            }
+            t.elapsed()
+        })
+    });
 }
 
 fn bench_vt_fast_paths() {
@@ -784,6 +800,35 @@ fn alloc_probe_fire() {
     pinned_allocs("alloc/probe_fire", total, OPS, 0, 16);
 }
 
+/// An active `VT_begin`/`VT_end` pair — activation lookup, call-stack
+/// push and pop, two trace-event appends, statistics update — performs
+/// zero allocations per pair; only the event buffer's doublings amortize.
+fn alloc_vt_begin_end() {
+    const OPS: u64 = 4096;
+    const WARM: u64 = 256;
+    let out = Arc::new(Mutex::new(0u64));
+    let out2 = Arc::clone(&out);
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
+    sim.spawn("ledger", 0, move |p| {
+        let vt = VtLib::new("ledger", 1, VtConfig::all_on(), ProbeCosts::power3());
+        vt.init(p, 0);
+        let f = vt.funcdef(p, "hot");
+        for _ in 0..WARM {
+            vt.begin(p, 0, 0, f, 1);
+            vt.end(p, 0, 0, f);
+        }
+        *out2.lock() = alloc_delta(|| {
+            for _ in 0..OPS {
+                vt.begin(p, 0, 0, f, 1);
+                vt.end(p, 0, 0, f);
+            }
+        });
+    });
+    sim.run();
+    let total = *out.lock();
+    pinned_allocs("alloc/vt_begin_end", total, OPS, 0, 16);
+}
+
 /// Appending events through the full chunked store writer (delta encode,
 /// varint, CRC, buffered sink): zero allocations per event, with an
 /// amortized remainder for the per-chunk flushes and buffer doublings.
@@ -869,6 +914,7 @@ fn bench_alloc_ledger() {
     println!("\nallocation ledger (exact counts, pinned)\n");
     alloc_send_ctl_nofault();
     alloc_probe_fire();
+    alloc_vt_begin_end();
     alloc_trace_append();
     alloc_coroutine_handoff();
 }
@@ -877,6 +923,7 @@ fn main() {
     println!("micro-benchmarks (best of 5 calibrated samples)\n");
     bench_obs_primitives();
     bench_check_primitives();
+    bench_sim_clock();
     bench_vt_fast_paths();
     bench_image_call();
     bench_verifier();

@@ -582,7 +582,9 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
             .map(|_| {
                 let img = app.build_image(static_instr);
                 if static_instr {
-                    img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vt), &img));
+                    let linked =
+                        img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vt), &img));
+                    assert!(linked, "a fresh image has no static hooks");
                 }
                 if cfg.enable_pc_log {
                     img.enable_pc_log();

@@ -11,8 +11,8 @@
 //! the paper's `Dynamic` policy track `None` so closely (Fig 7).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -116,6 +116,18 @@ struct PointPair {
     exit: BaseTrampoline,
 }
 
+/// Armed bit of a function's entry point (see `Image::armed`).
+const ENTRY_ARMED: u8 = 1;
+/// Armed bit of a function's exit point.
+const EXIT_ARMED: u8 = 2;
+
+fn armed_bit(kind: ProbePointKind) -> u8 {
+    match kind {
+        ProbePointKind::Entry => ENTRY_ARMED,
+        ProbePointKind::Exit => EXIT_ARMED,
+    }
+}
+
 struct SuspendState {
     gate: Arc<SimGate>,
 }
@@ -130,7 +142,13 @@ pub struct Image {
     info: Vec<FunctionInfo>,
     by_name: HashMap<String, FuncId>,
     probes: RwLock<Vec<PointPair>>,
-    static_hooks: RwLock<Option<Arc<dyn StaticHooks>>>,
+    /// Per function, which probe points hold a non-empty chain
+    /// (`ENTRY_ARMED | EXIT_ARMED`) — the patched-jump bit of the real
+    /// instruction stream. Rewritten only under the `probes` write lock,
+    /// right after the chain changes, so an unarmed point is skipped
+    /// without touching the lock.
+    armed: Vec<AtomicU8>,
+    static_hooks: OnceLock<Arc<dyn StaticHooks>>,
     observer: RwLock<Option<Arc<dyn ImageObserver>>>,
     suspended: AtomicBool,
     suspend: Mutex<SuspendState>,
@@ -188,8 +206,14 @@ impl Image {
 
     /// Install image-wide static instrumentation hooks (linking the app
     /// against the trace library at "compile" time).
-    pub fn set_static_hooks(&self, hooks: Arc<dyn StaticHooks>) {
-        *self.static_hooks.write() = Some(hooks);
+    ///
+    /// Install-once: an image is linked against one trace library for
+    /// its whole life, which is what lets every call borrow the hooks
+    /// without a lock or refcount. Returns `false`, leaving the first
+    /// hooks in place, if hooks were already installed.
+    #[must_use = "a second install is refused; check the result"]
+    pub fn set_static_hooks(&self, hooks: Arc<dyn StaticHooks>) -> bool {
+        self.static_hooks.set(hooks).is_ok()
     }
 
     /// Install a process-state observer (suspension tracking, §5.1).
@@ -281,6 +305,7 @@ impl Image {
         }
         base.push(id, snippet);
         self.patches.fetch_add(1, Ordering::Relaxed); // mini-trampoline store
+        self.rearm(point.func, pair);
         Ok(id)
     }
 
@@ -295,6 +320,7 @@ impl Image {
         let removed = base.remove(id);
         if removed {
             self.patches.fetch_add(1, Ordering::Relaxed);
+            self.rearm(point.func, pair);
         }
         removed
     }
@@ -317,18 +343,28 @@ impl Image {
         }
         if n > 0 {
             self.patches.fetch_add(n as u64, Ordering::Relaxed);
+            self.rearm(fid, pair);
         }
         n
     }
 
+    /// Re-derive `fid`'s armed bits from its chains. Callers hold the
+    /// `probes` write lock (`pair` borrows from it), so bits and chains
+    /// change together.
+    fn rearm(&self, fid: FuncId, pair: &PointPair) {
+        let mut bits = 0;
+        if pair.entry.occupied() {
+            bits |= ENTRY_ARMED;
+        }
+        if pair.exit.occupied() {
+            bits |= EXIT_ARMED;
+        }
+        self.armed[fid.index()].store(bits, Ordering::Release);
+    }
+
     /// Is any instrumentation installed at `point`?
     pub fn occupied(&self, point: ProbePoint) -> bool {
-        let probes = self.probes.read();
-        let pair = &probes[point.func.index()];
-        match point.kind {
-            ProbePointKind::Entry => pair.entry.occupied(),
-            ProbePointKind::Exit => pair.exit.occupied(),
-        }
+        self.armed[point.func.index()].load(Ordering::Acquire) & armed_bit(point.kind) != 0
     }
 
     /// Total dynamically-allocated trampoline bytes.
@@ -426,9 +462,8 @@ impl Image {
         let prev_pc = pc_slot.map(|s| s.swap(fid.0 + 1, Ordering::Relaxed));
         let t_enter = self.pc_log_enabled.load(Ordering::Relaxed).then(|| p.now());
 
-        let info = &self.info[fid.index()];
-        let static_hooks = if info.statically_instrumented {
-            self.static_hooks.read().clone()
+        let static_hooks = if self.info[fid.index()].statically_instrumented {
+            self.static_hooks.get()
         } else {
             None
         };
@@ -436,13 +471,13 @@ impl Image {
         // Entry: dynamic probe fires at the entry instruction, then the
         // compiler-inserted static prologue.
         self.fire_point(p, cc, fid, ProbePointKind::Entry, reps);
-        if let Some(h) = &static_hooks {
+        if let Some(h) = static_hooks {
             h.begin(&self.ctx(p, cc, fid, ProbePointKind::Entry, reps));
         }
 
         let r = body(reps);
 
-        if let Some(h) = &static_hooks {
+        if let Some(h) = static_hooks {
             h.end(&self.ctx(p, cc, fid, ProbePointKind::Exit, reps));
         }
         self.fire_point(p, cc, fid, ProbePointKind::Exit, reps);
@@ -498,6 +533,10 @@ impl Image {
     }
 
     fn fire_point(&self, p: &Proc, cc: CallerCtx, fid: FuncId, kind: ProbePointKind, reps: u64) {
+        // An unpatched point costs one load: no lock, no chain walk.
+        if self.armed[fid.index()].load(Ordering::Acquire) & armed_bit(kind) == 0 {
+            return;
+        }
         // Snippet code must run outside the `probes` read guard (a snippet
         // may itself insert/remove probes), so the chain is cloned out
         // first — one Arc bump per chained snippet. Chains are almost
@@ -595,7 +634,8 @@ impl ImageBuilder {
                     })
                     .collect(),
             ),
-            static_hooks: RwLock::new(None),
+            armed: (0..n).map(|_| AtomicU8::new(0)).collect(),
+            static_hooks: OnceLock::new(),
             observer: RwLock::new(None),
             suspended: AtomicBool::new(false),
             suspend: Mutex::new(SuspendState {
@@ -659,11 +699,13 @@ mod tests {
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
             img2.call(p, CallerCtx::default(), f, || ());
+            // The entry trampoline only: exit is left unarmed.
             let expect = p.machine().probe.trampoline_dispatch + SimTime::from_nanos(500);
             assert_eq!(p.now(), expect);
         });
         sim.run();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+        assert!(!img.occupied(ProbePoint::exit(f)));
     }
 
     #[test]
@@ -743,7 +785,7 @@ mod tests {
         let fp = b.add(FunctionInfo::new("plain"));
         let img = Arc::new(b.build());
         let counter = Arc::new(Counter(AtomicUsize::new(0), AtomicUsize::new(0)));
-        img.set_static_hooks(Arc::clone(&counter) as Arc<dyn StaticHooks>);
+        assert!(img.set_static_hooks(Arc::clone(&counter) as Arc<dyn StaticHooks>));
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -753,6 +795,108 @@ mod tests {
         sim.run();
         assert_eq!(counter.0.load(Ordering::Relaxed), 1);
         assert_eq!(counter.1.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn static_hooks_install_once() {
+        struct Tag(usize, Arc<AtomicUsize>);
+        impl StaticHooks for Tag {
+            fn begin(&self, _: &ProbeCtx<'_>) {
+                self.1.fetch_add(self.0, Ordering::Relaxed);
+            }
+            fn end(&self, _: &ProbeCtx<'_>) {}
+        }
+        let mut b = ImageBuilder::new("app");
+        let f = b.add(FunctionInfo::new("f").static_instr(true));
+        let img = Arc::new(b.build());
+        let hits = Arc::new(AtomicUsize::new(0));
+        assert!(img.set_static_hooks(Arc::new(Tag(1, Arc::clone(&hits)))));
+        assert!(
+            !img.set_static_hooks(Arc::new(Tag(100, Arc::clone(&hits)))),
+            "a second install is refused"
+        );
+        call_cost(&img, f);
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            1,
+            "the first hooks stay installed"
+        );
+    }
+
+    /// Call `f` once in a fresh simulation; returns the virtual time the
+    /// call cost.
+    fn call_cost(img: &Arc<Image>, f: FuncId) -> SimTime {
+        let img2 = Arc::clone(img);
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        sim.spawn("p", 0, move |p| {
+            img2.call(p, CallerCtx::default(), f, || ())
+        });
+        sim.run()
+    }
+
+    /// A snippet that counts its fires into `hits`.
+    fn counting(hits: &Arc<AtomicUsize>) -> Snippet {
+        let h = Arc::clone(hits);
+        Snippet::new("count", SimTime::ZERO, move |_| {
+            h.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    #[test]
+    fn removing_last_entry_snippet_disarms_entry_only() {
+        let img = two_fn_image();
+        let f = img.func("test").unwrap();
+        let (entry_hits, exit_hits) =
+            (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let a = img.insert(ProbePoint::entry(f), counting(&entry_hits));
+        let b = img.insert(ProbePoint::entry(f), counting(&entry_hits));
+        img.insert(ProbePoint::exit(f), counting(&exit_hits));
+        assert!(img.remove(ProbePoint::entry(f), a));
+        assert!(img.occupied(ProbePoint::entry(f)), "one entry snippet left");
+        assert!(img.remove(ProbePoint::entry(f), b));
+        assert!(!img.occupied(ProbePoint::entry(f)));
+        assert!(img.occupied(ProbePoint::exit(f)));
+        let dispatch = Machine::test_machine().probe.trampoline_dispatch;
+        assert_eq!(call_cost(&img, f), dispatch, "exit trampoline only");
+        assert_eq!(entry_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(exit_hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn self_removing_snippet_finishes_traversal_then_disarms() {
+        // The first entry snippet removes itself and the second one; the
+        // traversal in flight still runs both (its chain was cloned out
+        // before any snippet ran), and the next call finds the point
+        // disarmed.
+        let img = two_fn_image();
+        let f = img.func("test").unwrap();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        let (img_w, ids_w, h) = (Arc::downgrade(&img), Arc::clone(&ids), Arc::clone(&hits));
+        let first = img.insert(
+            ProbePoint::entry(f),
+            Snippet::new("remover", SimTime::ZERO, move |ctx| {
+                h.fetch_add(1, Ordering::Relaxed);
+                let img = img_w.upgrade().expect("image alive");
+                for id in ids_w.lock().drain(..) {
+                    assert!(img.remove(ProbePoint::entry(ctx.func), id));
+                }
+            }),
+        );
+        let second = img.insert(ProbePoint::entry(f), counting(&hits));
+        ids.lock().extend([first, second]);
+        let img2 = Arc::clone(&img);
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        sim.spawn("p", 0, move |p| {
+            let dispatch = p.machine().probe.trampoline_dispatch;
+            img2.call(p, CallerCtx::default(), f, || ());
+            assert_eq!(p.now(), dispatch, "the first traversal is charged");
+            img2.call(p, CallerCtx::default(), f, || ());
+            assert_eq!(p.now(), dispatch, "the second call finds no patch");
+        });
+        sim.run();
+        assert_eq!(hits.load(Ordering::Relaxed), 2, "both snippets ran once");
+        assert!(!img.occupied(ProbePoint::entry(f)));
     }
 
     #[test]
@@ -790,6 +934,7 @@ mod tests {
         assert!(!img.occupied(ProbePoint::entry(f)));
         assert!(!img.occupied(ProbePoint::exit(f)));
         assert_eq!(img.instrumented_functions().len(), 0);
+        assert_eq!(call_cost(&img, f), SimTime::ZERO, "both points disarmed");
     }
 
     #[test]

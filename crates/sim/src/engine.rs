@@ -49,7 +49,7 @@ use core::ffi::c_void;
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -176,11 +176,46 @@ enum PState {
     Done,
 }
 
+/// A simulated process's virtual clock, shared by its [`ProcSlot`] and
+/// its [`Proc`] handle so the running process reads and charges it
+/// without taking the `inner` lock.
+///
+/// **Ownership**: the cell has exactly one writer at any moment — the
+/// process itself while it is `Running` (`advance`, or a lift by the
+/// running process), or the dispatcher holding `inner` while the process
+/// is `Blocked` (the wake-time lift). Every transfer of that role between
+/// OS threads already passes through the `inner` lock and the
+/// `current_word` release/acquire pair, so `Relaxed` accesses suffice.
+struct ClockCell(AtomicU64);
+
+impl ClockCell {
+    fn new(t: SimTime) -> ClockCell {
+        ClockCell(AtomicU64::new(t.as_nanos()))
+    }
+
+    #[inline]
+    fn get(&self) -> SimTime {
+        SimTime::from_nanos(self.0.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn set(&self, t: SimTime) {
+        self.0.store(t.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Raise the clock to at least `t`; returns the new value.
+    fn lift(&self, t: SimTime) -> SimTime {
+        let c = self.get().max(t);
+        self.set(c);
+        c
+    }
+}
+
 struct ProcSlot {
     name: String,
     node: usize,
     state: PState,
-    clock: SimTime,
+    clock: Arc<ClockCell>,
     /// OS thread backing this process, for `unpark` wakes. Registered by
     /// `spawn_at` (under the `inner` lock) before any dispatch can target
     /// the pid, so the dispatcher never races a missing handle.
@@ -190,7 +225,7 @@ struct ProcSlot {
 /// The event heaps, split from [`EngineInner`] so that scheduling a wake
 /// (`send`, `wake_other`, timer arming — the hottest producers) touches
 /// only this small mutex and never contends with per-process bookkeeping
-/// (clock charges, state flips, handoff accounting).
+/// (state flips, handoff accounting).
 ///
 /// **Lock order**: `inner` before `heaps`, never the reverse. The
 /// dispatcher holds `inner` and briefly takes `heaps` to pop; producers
@@ -338,9 +373,6 @@ struct CoSlot {
     /// The `Box<co::BootFn>` pointer parked in the fabricated r12 slot;
     /// owned here until `started`.
     boot_raw: *mut c_void,
-    /// Clock at resumption, written by the dispatcher just before the
-    /// switch so the resumed coroutine reads it without taking a lock.
-    resume_clock: SimTime,
 }
 
 impl Drop for CoSlot {
@@ -574,13 +606,11 @@ impl Engine {
                     unreachable!("running proc has queued wake while scheduler active")
                 }
                 PState::Blocked => {
-                    let c = g.procs[pid].clock;
-                    g.procs[pid].clock = c.max(t);
-                    g.horizon = g.horizon.max(g.procs[pid].clock);
+                    let clock = g.procs[pid].clock.lift(t);
+                    g.horizon = g.horizon.max(clock);
                     g.dispatched += 1;
                     if let Some(log) = &g.dispatch_log {
-                        let entry = (pid, g.procs[pid].clock);
-                        log.lock().push(entry);
+                        log.lock().push((pid, clock));
                     }
                     if g.last_pid != Some(pid) {
                         g.ctx_switches += 1;
@@ -594,8 +624,9 @@ impl Engine {
         }
     }
 
-    /// Yield the calling process and wait to be resumed. Returns the
-    /// (updated) local clock at resumption.
+    /// Yield the calling process and wait to be resumed. On return the
+    /// process is `Running` and its clock cell holds the lifted
+    /// resumption time.
     ///
     /// The caller must have arranged to be woken: either by scheduling its
     /// own wake, or because another process will `schedule` it.
@@ -610,7 +641,7 @@ impl Engine {
     /// business: a futex `park`/`unpark` pair on `threads`, a userspace
     /// stack swap on `coroutine` — the dispatch decision is this shared
     /// code either way.
-    pub(crate) fn yield_and_wait(&self, pid: Pid) -> SimTime {
+    pub(crate) fn yield_and_wait(&self, pid: Pid) {
         debug_assert_eq!(self.mode, ClockMode::Virtual);
         match self.backend {
             ProcBackend::Threads => self.yield_and_wait_threads(pid),
@@ -620,9 +651,9 @@ impl Engine {
 
     /// [`Engine::yield_and_wait`], coroutine backend: the successor is
     /// resumed by swapping stacks in userspace. The dispatcher pre-marks
-    /// the successor `Running` and hands it its resumption clock through
-    /// its [`CoSlot`], so the resumed side re-acquires no lock at all.
-    fn yield_and_wait_co(&self, pid: Pid) -> SimTime {
+    /// the successor `Running` and lifts its clock cell, so the resumed
+    /// side re-acquires no lock at all.
+    fn yield_and_wait_co(&self, pid: Pid) {
         let mut g = self.inner.lock();
         debug_assert_eq!(g.current, Some(pid), "yield by non-running process");
         g.procs[pid].state = PState::Blocked;
@@ -632,17 +663,16 @@ impl Engine {
             Some((next, _)) if next == pid => {
                 // Popped our own wake (a timed sleep): no switch at all.
                 g.procs[pid].state = PState::Running;
-                return g.procs[pid].clock;
+                return;
             }
             Some((next, _)) => {
                 g.direct_handoffs += 1;
                 g.procs[next].state = PState::Running;
-                let clock = g.procs[next].clock;
                 drop(g);
                 // SAFETY: we are the driving thread, the guard is
                 // dropped, and no reference into shared state is live
                 // across the switch.
-                unsafe { self.co_transfer(Some(pid), next, clock) };
+                unsafe { self.co_transfer(Some(pid), next) };
             }
             None => {
                 // Nothing runnable: hand the verdict (deadlock or
@@ -653,20 +683,13 @@ impl Engine {
         }
         // Resumed. Teardown poison unwinds us before anything else;
         // otherwise reclaim stacks that finished while we were
-        // suspended, then read the clock the dispatcher wrote (our state
-        // was pre-set to `Running` under the dispatcher's lock hold, so
-        // this path takes no lock).
+        // suspended (our state was pre-set to `Running` and our clock
+        // lifted under the dispatcher's lock hold, so this path takes no
+        // lock).
         if self.panicked_word.load(Ordering::Acquire) {
             std::panic::resume_unwind(Box::new(CoPoison));
         }
-        unsafe {
-            self.co_drain_retired();
-            let pool = &*self.co.0.get();
-            pool.slots[pid]
-                .as_deref()
-                .expect("own coroutine slot")
-                .resume_clock
-        }
+        unsafe { self.co_drain_retired() };
     }
 
     /// Register a coroutine slot for the next pid. Must be called under
@@ -685,7 +708,6 @@ impl Engine {
             raw: co::RawCo::new(co::stack_bytes(), boot_raw),
             started: false,
             boot_raw,
-            resume_clock: SimTime::ZERO,
         })));
     }
 
@@ -697,20 +719,15 @@ impl Engine {
     ///
     /// Driving thread only; no lock guard may be held and no reference
     /// into engine state may be live across the call.
-    unsafe fn co_transfer(&self, from: Option<Pid>, next: Pid, clock: SimTime) {
+    unsafe fn co_transfer(&self, from: Option<Pid>, next: Pid) {
         debug_assert_ne!(from, Some(next), "self-transfer is the lock-held fast path");
         let (save, to) = {
             let p = &mut *self.co.0.get();
-            {
+            let to = {
                 let slot = p.slots[next].as_deref_mut().expect("successor slot");
-                slot.resume_clock = clock;
                 slot.started = true;
-            }
-            let to = p.slots[next]
-                .as_deref()
-                .expect("successor slot")
-                .raw
-                .resume_sp;
+                slot.raw.resume_sp
+            };
             let save: *mut *mut u8 = match from {
                 Some(y) => {
                     &mut p.slots[y]
@@ -779,7 +796,7 @@ impl Engine {
         };
         g.procs[pid].state = PState::Done;
         g.live -= 1;
-        let clock = g.procs[pid].clock;
+        let clock = g.procs[pid].clock.get();
         g.horizon = g.horizon.max(clock);
         g.current = None;
         self.current_word.store(usize::MAX, Ordering::Relaxed);
@@ -788,7 +805,7 @@ impl Engine {
             if let Some((next, _)) = self.dispatch_next(&mut g) {
                 g.direct_handoffs += 1;
                 g.procs[next].state = PState::Running;
-                target = Some((next, g.procs[next].clock));
+                target = Some(next);
             }
         }
         drop(g);
@@ -801,9 +818,8 @@ impl Engine {
             let save: *mut *mut u8 =
                 &mut p.slots[pid].as_deref_mut().expect("own slot").raw.resume_sp;
             let to = match target {
-                Some((next, clock)) => {
+                Some(next) => {
                     let slot = p.slots[next].as_deref_mut().expect("successor slot");
-                    slot.resume_clock = clock;
                     slot.started = true;
                     slot.raw.resume_sp
                 }
@@ -861,7 +877,7 @@ impl Engine {
     /// woken with `unpark` (after the lock drops — see
     /// [`Engine::dispatch_next`]) and the yielder spins briefly, then
     /// parks until its pid appears in the current-word mirror.
-    fn yield_and_wait_threads(&self, pid: Pid) -> SimTime {
+    fn yield_and_wait_threads(&self, pid: Pid) {
         let mut g = self.inner.lock();
         debug_assert_eq!(g.current, Some(pid), "yield by non-running process");
         g.procs[pid].state = PState::Blocked;
@@ -871,7 +887,7 @@ impl Engine {
             Some((next, _)) if next == pid => {
                 // Popped our own wake (a timed sleep): no handoff at all.
                 g.procs[pid].state = PState::Running;
-                return g.procs[pid].clock;
+                return;
             }
             Some((_, t)) => {
                 g.direct_handoffs += 1;
@@ -911,7 +927,6 @@ impl Engine {
         let mut g = self.inner.lock();
         debug_assert_eq!(g.current, Some(pid), "woken without being dispatched");
         g.procs[pid].state = PState::Running;
-        g.procs[pid].clock
     }
 
     /// Push the bookkeeping for a new process — slot, liveness, heap
@@ -923,9 +938,10 @@ impl Engine {
         &self,
         name: &str,
         node: usize,
-        start: SimTime,
+        clock: Arc<ClockCell>,
         boot: Option<co::BootFn>,
     ) -> Pid {
+        let start = clock.get();
         let mut g = self.inner.lock();
         let pid = g.procs.len();
         if crate::hb::compiled() {
@@ -935,7 +951,7 @@ impl Engine {
             name: name.to_string(),
             node,
             state: PState::Blocked,
-            clock: start,
+            clock,
             thread: None,
         });
         g.live += 1;
@@ -965,7 +981,7 @@ impl Engine {
         let mut g = self.inner.lock();
         g.procs[pid].state = PState::Done;
         g.live -= 1;
-        let clock = g.procs[pid].clock;
+        let clock = g.procs[pid].clock.get();
         g.horizon = g.horizon.max(clock);
         if self.mode == ClockMode::Virtual {
             debug_assert_eq!(g.current, Some(pid));
@@ -1011,37 +1027,15 @@ impl Engine {
         self.sched_cv.notify_one();
     }
 
-    pub(crate) fn clock_of(&self, pid: Pid) -> SimTime {
-        match self.mode {
-            ClockMode::Virtual => self.inner.lock().procs[pid].clock,
-            ClockMode::Real => self.real_now(),
-        }
-    }
-
-    /// Advance `pid`'s clock in place without yielding (cheap charge while
-    /// the process is running). Virtual mode only; no-op in real mode.
-    pub(crate) fn charge(&self, pid: Pid, dt: SimTime) {
-        if self.mode == ClockMode::Real || dt == SimTime::ZERO {
-            return;
-        }
-        let mut g = self.inner.lock();
-        debug_assert_eq!(g.current, Some(pid), "charge by non-running process");
-        let dt = match self.faults.get() {
-            Some(plan) => plan.scale_work(g.procs[pid].node, dt),
-            None => dt,
-        };
-        g.procs[pid].clock += dt;
-    }
-
     /// Set `pid`'s clock to `max(clock, t)` (used when a wake event carries
-    /// an arrival time computed by another process).
+    /// an arrival time computed by another process). Called by the running
+    /// process, so `pid` is either itself or blocked: the cell's single
+    /// writer either way.
     pub(crate) fn lift_clock(&self, pid: Pid, t: SimTime) {
         if self.mode == ClockMode::Real {
             return;
         }
-        let mut g = self.inner.lock();
-        let c = g.procs[pid].clock;
-        g.procs[pid].clock = c.max(t);
+        self.inner.lock().procs[pid].clock.lift(t);
     }
 }
 
@@ -1181,6 +1175,8 @@ impl Sim {
             self.eng.machine.nodes
         );
         let eng = Arc::clone(&self.eng);
+        let clock = Arc::new(ClockCell::new(start));
+        let proc_clock = Arc::clone(&clock);
         if eng.mode == ClockMode::Virtual && eng.backend == ProcBackend::Coroutine {
             // Coroutine backend: no thread, no handshake. The body is
             // wrapped in a boot closure that catches every unwind,
@@ -1203,6 +1199,7 @@ impl Sim {
                     eng: Arc::clone(&eng2),
                     pid,
                     node,
+                    clock: proc_clock,
                     rng: Mutex::new(SimRng::for_process(eng2.seed, pid)),
                 };
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc_)));
@@ -1218,9 +1215,9 @@ impl Sim {
                 // it, and `run()` holds a strong engine reference.
                 unsafe { (*eng_ptr).co_finish(pid, exit) }
             });
-            return eng.register_proc(&name, node, start, Some(boot));
+            return eng.register_proc(&name, node, clock, Some(boot));
         }
-        let pid = eng.register_proc(&name, node, start, None);
+        let pid = eng.register_proc(&name, node, clock, None);
         let eng2 = Arc::clone(&self.eng);
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
@@ -1229,6 +1226,7 @@ impl Sim {
                     eng: Arc::clone(&eng2),
                     pid,
                     node,
+                    clock: proc_clock,
                     rng: Mutex::new(SimRng::for_process(eng2.seed, pid)),
                 };
                 if eng2.mode == ClockMode::Virtual {
@@ -1339,7 +1337,9 @@ impl Sim {
                                 .procs
                                 .iter()
                                 .filter(|p| p.state == PState::Blocked)
-                                .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock))
+                                .map(|p| {
+                                    format!("{} (node {}, t={})", p.name, p.node, p.clock.get())
+                                })
                                 .collect();
                             g.panicked = true;
                             self.eng.panicked_word.store(true, Ordering::Release);
@@ -1420,14 +1420,13 @@ impl Sim {
                 Some((next, _)) => {
                     g.sched_fallbacks += 1;
                     g.procs[next].state = PState::Running;
-                    let clock = g.procs[next].clock;
                     drop(g);
                     // SAFETY: this is the driving thread, the guard is
                     // dropped, and no reference into engine state is live
                     // across the switch. The drain runs with every
                     // coroutine suspended, so no retired stack is current.
                     unsafe {
-                        self.eng.co_transfer(None, next, clock);
+                        self.eng.co_transfer(None, next);
                         self.eng.co_drain_retired();
                     }
                 }
@@ -1438,7 +1437,7 @@ impl Sim {
                         .procs
                         .iter()
                         .filter(|p| p.state == PState::Blocked)
-                        .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock))
+                        .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock.get()))
                         .collect();
                     g.panicked = true;
                     self.eng.panicked_word.store(true, Ordering::Release);
@@ -1549,6 +1548,8 @@ pub struct Proc {
     eng: Arc<Engine>,
     pid: Pid,
     node: usize,
+    /// This process's virtual clock (shared with its engine slot).
+    clock: Arc<ClockCell>,
     rng: Mutex<SimRng>,
 }
 
@@ -1578,9 +1579,14 @@ impl Proc {
         self.eng.mode
     }
 
-    /// Current local time.
+    /// Current local time: one relaxed load of the clock cell in virtual
+    /// mode, the wall clock in real mode.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.eng.clock_of(self.pid)
+        match self.eng.mode {
+            ClockMode::Virtual => self.clock.get(),
+            ClockMode::Real => self.eng.real_now(),
+        }
     }
 
     /// Charge `dt` of simulated work to this process's clock.
@@ -1588,17 +1594,31 @@ impl Proc {
     /// In virtual mode the charge is applied in place — no rescheduling
     /// occurs, so a long `advance` does not release the CPU model-wise
     /// (processes are assumed pinned to dedicated CPUs, as on the paper's
-    /// batch system). In real mode this is a no-op: real work takes real
-    /// time.
+    /// batch system). A fault plan's per-node slowdown scales the charge.
+    /// In real mode this is a no-op: real work takes real time.
+    #[inline]
     pub fn advance(&self, dt: SimTime) {
-        self.eng.charge(self.pid, dt);
+        if self.eng.mode == ClockMode::Real || dt == SimTime::ZERO {
+            return;
+        }
+        debug_assert_eq!(
+            self.eng.current_word.load(Ordering::Relaxed),
+            self.pid,
+            "charge by non-running process"
+        );
+        let dt = match self.eng.faults.get() {
+            Some(plan) => plan.scale_work(self.node, dt),
+            None => dt,
+        };
+        self.clock.set(self.clock.get() + dt);
     }
 
     /// Block until another process (or a primitive) schedules a wake for
     /// this pid. Returns the resumption time. Virtual mode only; the sync
     /// primitives never call this in real mode.
     pub(crate) fn block(&self) -> SimTime {
-        self.eng.yield_and_wait(self.pid)
+        self.eng.yield_and_wait(self.pid);
+        self.clock.get()
     }
 
     /// Like [`Proc::block`], but also arm a deadline timer: if nothing
@@ -1607,7 +1627,7 @@ impl Proc {
     /// timer that never fires leaves the event-queue metrics untouched.
     pub(crate) fn block_until_deadline(&self, deadline: SimTime) -> SimTime {
         self.eng.schedule_timer(self.pid, deadline.max(self.now()));
-        let t = self.eng.yield_and_wait(self.pid);
+        let t = self.block();
         self.eng.cancel_timers(self.pid);
         t
     }
@@ -1899,6 +1919,80 @@ mod tests {
         let stats = sim.stats();
         sim.run();
         assert_eq!(stats.timers_cancelled_eagerly(), 1);
+    }
+
+    const BACKENDS: [ProcBackend; 2] = [ProcBackend::Threads, ProcBackend::Coroutine];
+
+    #[test]
+    fn slow_node_scales_advance_on_that_node_only() {
+        // A plan that slows some of the test machine's nodes and not
+        // others: the first seed whose draw mixes both.
+        let plan = (0..)
+            .map(|seed| {
+                let spec = crate::fault::FaultSpec {
+                    seed,
+                    profile_name: "slow-half".into(),
+                    profile: crate::fault::FaultProfile {
+                        slow_node_ppm: 500_000,
+                        slowdown_permille: 2000,
+                        ..crate::fault::FaultProfile::none()
+                    },
+                };
+                FaultPlan::new(&spec, &machine())
+            })
+            .find(|plan| {
+                let slowed = (0..4)
+                    .filter(|&n| {
+                        plan.scale_work(n, SimTime::from_micros(1)) != SimTime::from_micros(1)
+                    })
+                    .count();
+                slowed > 0 && slowed < 4
+            })
+            .expect("some seed mixes slowed and unaffected nodes");
+        let slow = (0..4)
+            .find(|&n| plan.scale_work(n, SimTime::from_micros(1)) == SimTime::from_micros(2))
+            .expect("a slowed node");
+        let fast = (0..4)
+            .find(|&n| plan.scale_work(n, SimTime::from_micros(1)) == SimTime::from_micros(1))
+            .expect("an unaffected node");
+        for backend in BACKENDS {
+            let sim = Sim::virtual_time_with_backend(machine(), 1, backend);
+            assert!(sim.set_fault_plan(Arc::clone(&plan)));
+            sim.spawn("slowed", slow, move |p| {
+                p.advance(SimTime::from_micros(5));
+                assert_eq!(p.now(), SimTime::from_micros(10), "{backend:?}");
+            });
+            sim.spawn("unaffected", fast, move |p| {
+                p.advance(SimTime::from_micros(5));
+                assert_eq!(p.now(), SimTime::from_micros(5), "{backend:?}");
+            });
+            assert_eq!(sim.run(), SimTime::from_micros(10));
+        }
+    }
+
+    #[test]
+    fn cross_process_lift_then_wake_resumes_at_max() {
+        for backend in BACKENDS {
+            let sim = Sim::virtual_time_with_backend(machine(), 1, backend);
+            // p0 lifts p1's clock past the wake time, then lifts p2's clock
+            // to before it: each waitee resumes at max(lifted clock, wake).
+            sim.spawn("waker", 0, |p| {
+                p.advance(SimTime::from_micros(50));
+                p.lift_other_clock(1, SimTime::from_micros(90));
+                p.wake_other(1, SimTime::from_micros(60));
+                p.lift_other_clock(2, SimTime::from_micros(20));
+                p.wake_other(2, SimTime::from_micros(60));
+            });
+            sim.spawn("lifted_past_wake", 0, move |p| {
+                assert_eq!(p.block(), SimTime::from_micros(90), "{backend:?}");
+                assert_eq!(p.now(), SimTime::from_micros(90), "{backend:?}");
+            });
+            sim.spawn("lifted_before_wake", 1, move |p| {
+                assert_eq!(p.block(), SimTime::from_micros(60), "{backend:?}");
+                assert_eq!(p.now(), SimTime::from_micros(60), "{backend:?}");
+            });
+            assert_eq!(sim.run(), SimTime::from_micros(90));
+        }
     }
 
     #[test]

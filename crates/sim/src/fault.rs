@@ -8,7 +8,7 @@
 //!   duplication, extra delay ([`SimChannel::send_ctl`] in
 //!   [`crate::sync`]);
 //! * **per-node slowdown** — a subset of nodes executes all charged work
-//!   slower (applied inside the engine's `charge`);
+//!   slower (applied inside `Proc::advance`);
 //! * **daemon outage windows** — per-node virtual-time intervals during
 //!   which that node's DPCL daemons are crashed (consumed by the daemon
 //!   loops in `dynprof-dpcl`);

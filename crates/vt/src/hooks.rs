@@ -387,7 +387,7 @@ mod tests {
         let mut b = ImageBuilder::new("app");
         let f = b.add(FunctionInfo::new("solve").static_instr(true));
         let img = Arc::new(b.build());
-        img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vtl), &img));
+        assert!(img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vtl), &img)));
         let (img2, vt2) = (Arc::clone(&img), Arc::clone(&vtl));
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {

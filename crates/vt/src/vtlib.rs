@@ -42,7 +42,6 @@ fn note_events(n: u64) {
 
 struct Frame {
     func: VtFuncId,
-    thread: u16,
     t0: SimTime,
     reps: u64,
     active: bool,
@@ -57,8 +56,9 @@ struct Frame {
 #[derive(Default)]
 struct ProcBuf {
     events: Vec<Event>,
-    /// Call stacks keyed by OpenMP thread id.
-    stacks: HashMap<u16, Vec<Frame>>,
+    /// Call stacks indexed by OpenMP thread id (dense from 0), grown on
+    /// demand.
+    stacks: Vec<Vec<Frame>>,
     stats: Vec<FuncStat>,
     trace_bytes: u64,
     deactivated_lookups: u64,
@@ -417,9 +417,12 @@ impl VtLib {
                     .add(reps);
             }
         }
-        buf.stacks.entry(thread).or_default().push(Frame {
+        let t = thread as usize;
+        if buf.stacks.len() <= t {
+            buf.stacks.resize_with(t + 1, Vec::new);
+        }
+        buf.stacks[t].push(Frame {
             func,
-            thread,
             t0: p.now(),
             reps,
             active,
@@ -439,31 +442,25 @@ impl VtLib {
     pub fn end(&self, p: &Proc, rank: usize, thread: u16, func: VtFuncId) {
         self.assert_ready(rank);
         let mut buf = self.procs[rank].buf.lock();
-        {
-            let stack = buf.stacks.entry(thread).or_default();
-            match stack.last() {
-                Some(top) if top.func == func => {}
-                Some(top) => {
-                    assert!(
-                        !stack.iter().any(|f| f.func == func),
-                        "mismatched VT_end on rank {rank}: began {:?}, ended {:?}",
-                        top.func,
-                        func
-                    );
-                    buf.stray_ends += 1;
-                    return;
-                }
-                None => {
-                    buf.stray_ends += 1;
-                    return;
-                }
+        let t = thread as usize;
+        match buf.stacks.get(t).and_then(|s| s.last()) {
+            Some(top) if top.func == func => {}
+            Some(top) => {
+                assert!(
+                    !buf.stacks[t].iter().any(|f| f.func == func),
+                    "mismatched VT_end on rank {rank}: began {:?}, ended {:?}",
+                    top.func,
+                    func
+                );
+                buf.stray_ends += 1;
+                return;
+            }
+            None => {
+                buf.stray_ends += 1;
+                return;
             }
         }
-        let frame = buf
-            .stacks
-            .get_mut(&thread)
-            .and_then(Vec::pop)
-            .expect("frame checked above");
+        let frame = buf.stacks[t].pop().expect("frame checked above");
         if frame.active {
             p.advance(self.costs.vt_end_active.mul_f64(frame.reps as f64));
             let now = p.now();
@@ -482,11 +479,7 @@ impl VtLib {
                 && frame.child == SimTime::ZERO
                 && frame.enter_idx.is_some_and(|i| i + 1 == buf.events.len());
             if elide {
-                let parent_func = buf
-                    .stacks
-                    .get(&thread)
-                    .and_then(|s| s.last())
-                    .map(|f| f.func.0);
+                let parent_func = buf.stacks[t].last().map(|f| f.func.0);
                 let enter = buf.events.pop().expect("enter checked to be last");
                 debug_assert!(matches!(enter, Event::FuncEnter { .. }));
                 buf.trace_bytes -= enter.trace_bytes_of(self.costs.event_bytes);
@@ -558,7 +551,7 @@ impl VtLib {
             s.incl += span;
             s.excl += span.saturating_sub(frame.child);
             // Attribute our inclusive time to the parent's child-time.
-            if let Some(parent) = buf.stacks.get_mut(&frame.thread).and_then(|s| s.last_mut()) {
+            if let Some(parent) = buf.stacks[t].last_mut() {
                 parent.child += span;
             }
         }
@@ -626,7 +619,7 @@ impl VtLib {
             .buf
             .lock()
             .stacks
-            .values()
+            .iter()
             .map(Vec::len)
             .sum()
     }

@@ -28,7 +28,9 @@ use dynprof::vt::{confsync, ConfigDelta, MonitorLink, VtConfig, VtLib};
 /// The obs registry is process-global and recording is gated on a global
 /// flag, so a test that enables observation must not overlap any other
 /// test in this binary (their sim runs would pollute its snapshots).
-/// Ordinary tests take `read()`, obs-flipping tests take `write()`.
+/// The fault spec is process-global too, and every `Sim` built while one
+/// is installed picks it up. Ordinary tests take `read()`; tests that
+/// flip observation or install a global fault spec take `write()`.
 static OBS_GATE: RwLock<()> = RwLock::new(());
 
 fn seeds() -> Vec<u64> {
@@ -907,7 +909,7 @@ fn store_round_trip_survives_fault_runs() {
     use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
     use dynprof::analysis::{Profile, ProfileOptions};
 
-    let _g = OBS_GATE.read().unwrap();
+    let _g = OBS_GATE.write().unwrap();
     let dir = std::env::temp_dir().join("dynprof-chaos-store");
     std::fs::create_dir_all(&dir).unwrap();
     for seed in seeds() {
