@@ -7,10 +7,15 @@
 //! carries its *start* time and can step backwards), and every other
 //! integer field is a varint. A typical `FuncEnter` costs 4–6 bytes
 //! against 19 in the legacy flat encoding.
+//!
+//! Decoding reads a plain `&[u8]` cursor that each getter advances, so
+//! the hot loop does no per-byte assertion and no copy of the payload.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};
+
+use crate::error::TraceError;
 
 /// Append `v` as an LEB128 varint (7 bits per byte, little-endian).
 pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -25,20 +30,42 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-/// Decode one LEB128 varint; `None` on truncation or overlong input.
-pub fn get_varint(buf: &mut Bytes) -> Option<u64> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        if buf.remaining() < 1 {
-            return None;
+/// Decode one LEB128 varint from the front of `buf`, advancing it;
+/// `None` on truncation or overlong input (more than 10 bytes). One- and
+/// two-byte varints — nearly every field of a chunk — take the inline
+/// fast path.
+#[inline]
+pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
+    match **buf {
+        [b0, ref rest @ ..] if b0 < 0x80 => {
+            *buf = rest;
+            Some(b0 as u64)
         }
-        let byte = buf.get_u8();
-        v |= ((byte & 0x7f) as u64) << shift;
+        [b0, b1, ref rest @ ..] if b1 < 0x80 => {
+            *buf = rest;
+            Some((b0 & 0x7f) as u64 | (b1 as u64) << 7)
+        }
+        _ => get_varint_long(buf),
+    }
+}
+
+fn get_varint_long(buf: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &byte) in buf.iter().take(10).enumerate() {
+        v |= ((byte & 0x7f) as u64) << (7 * i);
         if byte & 0x80 == 0 {
+            *buf = &buf[i + 1..];
             return Some(v);
         }
     }
     None
+}
+
+#[inline]
+fn get_u8(buf: &mut &[u8]) -> Option<u8> {
+    let (&byte, rest) = buf.split_first()?;
+    *buf = rest;
+    Some(byte)
 }
 
 /// Map a signed delta onto an unsigned varint-friendly value.
@@ -153,13 +180,11 @@ pub fn encode_event(buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
     }
 }
 
-/// Decode one event of `rank` from a chunk payload, advancing `prev_t`.
-/// `None` on truncated or malformed input.
-pub fn decode_event(buf: &mut Bytes, rank: u32, prev_t: &mut u64) -> Option<Event> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let kind = buf.get_u8();
+/// Decode one event of `rank` from the front of a chunk payload,
+/// advancing `buf` and `prev_t`. `None` on truncated or malformed input.
+#[inline]
+pub fn decode_event(buf: &mut &[u8], rank: u32, prev_t: &mut u64) -> Option<Event> {
+    let kind = get_u8(buf)?;
     let dt = unzigzag(get_varint(buf)?);
     let t_nanos = prev_t.checked_add_signed(dt)?;
     *prev_t = t_nanos;
@@ -194,10 +219,7 @@ pub fn decode_event(buf: &mut Bytes, rank: u32, prev_t: &mut u64) -> Option<Even
         },
         4 => {
             let dur = get_varint(buf)?;
-            if buf.remaining() < 1 {
-                return None;
-            }
-            let op = buf.get_u8();
+            let op = get_u8(buf)?;
             let peer = unzigzag(get_varint(buf)?) as i32;
             let bytes = get_varint(buf)?;
             Event::MpiCall {
@@ -263,6 +285,37 @@ pub fn decode_event(buf: &mut Bytes, rank: u32, prev_t: &mut u64) -> Option<Even
     })
 }
 
+/// Decode a whole chunk payload of `count` events of `rank` into `out`
+/// (cleared first, its capacity reused). The payload must hold exactly
+/// `count` events: a malformed event `n` is `BadEvent { index: n }`, and
+/// bytes left over after the last one are `BadEvent { index: count }`.
+/// On error `out` holds a partial chunk that callers must not deliver.
+pub fn decode_chunk(
+    payload: &[u8],
+    rank: u32,
+    count: u32,
+    out: &mut Vec<Event>,
+) -> Result<(), TraceError> {
+    out.clear();
+    // Every event takes at least two bytes (kind + time delta), so an
+    // unchecked header `count` cannot force a huge reservation.
+    out.reserve((count as usize).min(payload.len() / 2));
+    let mut buf = payload;
+    let mut prev_t = 0u64;
+    for n in 0..count {
+        match decode_event(&mut buf, rank, &mut prev_t) {
+            Some(ev) => out.push(ev),
+            None => return Err(TraceError::BadEvent { index: n as u64 }),
+        }
+    }
+    if !buf.is_empty() {
+        return Err(TraceError::BadEvent {
+            index: count as u64,
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,17 +337,29 @@ mod tests {
         for &v in &samples {
             put_varint(&mut buf, v);
         }
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         for &v in &samples {
             assert_eq!(get_varint(&mut b), Some(v));
         }
-        assert_eq!(b.remaining(), 0);
+        assert!(b.is_empty());
     }
 
     #[test]
     fn varint_rejects_truncation() {
-        let mut b = Bytes::from(vec![0x80, 0x80]); // continuation with no end
+        let mut b: &[u8] = &[0x80, 0x80]; // continuation with no end
         assert_eq!(get_varint(&mut b), None);
+        let mut b: &[u8] = &[0x85]; // cut inside a two-byte varint
+        assert_eq!(get_varint(&mut b), None);
+    }
+
+    #[test]
+    fn varint_rejects_overlong() {
+        let mut ten = [0x80u8; 10];
+        ten[9] = 0x01;
+        assert_eq!(get_varint(&mut &ten[..]), Some(1 << 63));
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x00;
+        assert_eq!(get_varint(&mut &eleven[..]), None);
     }
 
     #[test]
@@ -381,12 +446,89 @@ mod tests {
         for e in &events {
             encode_event(&mut buf, e, &mut prev);
         }
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         let mut prev = 0u64;
         for e in &events {
             assert_eq!(decode_event(&mut b, 7, &mut prev).as_ref(), Some(e));
         }
-        assert_eq!(b.remaining(), 0);
+        assert!(b.is_empty());
+        let mut out = Vec::new();
+        decode_chunk(&buf, 7, events.len() as u32, &mut out).unwrap();
+        assert_eq!(out, events);
+    }
+
+    /// A two-event chunk payload: `FuncEnter` then `FuncExit`.
+    fn two_event_payload() -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        let mut prev = 0u64;
+        for ev in [
+            Event::FuncEnter {
+                t: SimTime::from_micros(1),
+                rank: 3,
+                thread: 0,
+                func: VtFuncId(2),
+            },
+            Event::FuncExit {
+                t: SimTime::from_micros(5),
+                rank: 3,
+                thread: 0,
+                func: VtFuncId(2),
+            },
+        ] {
+            encode_event(&mut buf, &ev, &mut prev);
+        }
+        buf.to_vec()
+    }
+
+    #[test]
+    fn decode_chunk_requires_exact_length() {
+        let payload = two_event_payload();
+        let mut out = Vec::new();
+        decode_chunk(&payload, 3, 2, &mut out).unwrap();
+        assert_eq!(out.len(), 2);
+        // One trailing byte after the declared events.
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        assert!(matches!(
+            decode_chunk(&trailing, 3, 2, &mut out),
+            Err(TraceError::BadEvent { index: 2 })
+        ));
+        // Fewer events declared than the payload holds is the same fault.
+        assert!(matches!(
+            decode_chunk(&payload, 3, 1, &mut out),
+            Err(TraceError::BadEvent { index: 1 })
+        ));
+        // More declared than present.
+        assert!(matches!(
+            decode_chunk(&payload, 3, 3, &mut out),
+            Err(TraceError::BadEvent { index: 2 })
+        ));
+    }
+
+    #[test]
+    fn decode_chunk_rejects_bad_varints() {
+        let mut out = Vec::new();
+        // Kind 1 then a time delta whose varint is cut off.
+        assert!(matches!(
+            decode_chunk(&[1, 0x80], 0, 1, &mut out),
+            Err(TraceError::BadEvent { index: 0 })
+        ));
+        // Kind 1 then an 11-byte overlong time delta.
+        let mut overlong = vec![1u8];
+        overlong.extend([0x80u8; 10]);
+        overlong.push(0x00);
+        overlong.extend([0, 0]); // thread and func, were the delta valid
+        assert!(matches!(
+            decode_chunk(&overlong, 0, 1, &mut out),
+            Err(TraceError::BadEvent { index: 0 })
+        ));
+        // A huge declared count over a tiny payload fails without
+        // reserving memory for the count.
+        assert!(matches!(
+            decode_chunk(&[1, 0, 0, 0], 0, u32::MAX, &mut out),
+            Err(TraceError::BadEvent { index: 1 })
+        ));
+        assert!(out.capacity() < 1024);
     }
 
     #[test]
@@ -437,11 +579,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut b = Bytes::from(vec![99, 0]); // unknown kind
+        let mut b: &[u8] = &[99, 0]; // unknown kind
         assert_eq!(decode_event(&mut b, 0, &mut 0), None);
-        let mut b = Bytes::from(vec![1]); // kind with no timestamp
+        let mut b: &[u8] = &[1]; // kind with no timestamp
         assert_eq!(decode_event(&mut b, 0, &mut 0), None);
-        let mut b = Bytes::from(vec![1, 0]); // timestamp but no fields
+        let mut b: &[u8] = &[1, 0]; // timestamp but no fields
         assert_eq!(decode_event(&mut b, 0, &mut 0), None);
     }
 }

@@ -143,11 +143,15 @@ pub const STORE_VERSION_V1: u16 = 1;
 /// Bytes of the fixed file header (magic + version + flags).
 pub(crate) const HEADER_BYTES: u64 = 8;
 
+/// Bytes of the current (version-2) per-chunk on-disk header, the
+/// larger of the two formats' headers.
+pub(crate) const CHUNK_HEADER_BYTES: usize = 40;
+
 /// Bytes of the per-chunk on-disk header for format `version`.
 pub(crate) fn chunk_header_bytes(version: u16) -> usize {
     match version {
         STORE_VERSION_V1 => 36,
-        _ => 40,
+        _ => CHUNK_HEADER_BYTES,
     }
 }
 

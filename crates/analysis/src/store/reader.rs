@@ -12,11 +12,11 @@ use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, Trace};
 
-use super::codec::{decode_event, event_overlaps};
+use super::codec::{decode_chunk, event_overlaps};
 use super::crc::{crc32, Crc32};
 use super::{
     chunk_header_bytes, index_entry_bytes, trailer_bytes, version_supported, ChunkMeta,
-    EventSource, HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
+    EventSource, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
 };
 use crate::error::TraceError;
 
@@ -42,6 +42,12 @@ fn obs_events_lost(n: u64) {
     static C: OnceLock<&'static obs::Counter> = OnceLock::new();
     C.get_or_init(|| obs::counter("analysis.events_lost"))
         .add(n);
+}
+
+fn obs_decode_real_ns(ns: u64) {
+    static H: OnceLock<&'static obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| obs::histogram("analysis.decode_real_ns"))
+        .record(ns);
 }
 
 /// What one windowed query cost — and, in degraded mode, exactly what it
@@ -113,7 +119,9 @@ pub struct StoreInfo {
 
 /// Reader over a `VGVS` store file. Holds the footer index in memory
 /// (48 bytes per chunk); payloads are decoded one chunk at a time and
-/// verified against their CRC-32 (format version 2).
+/// verified against their CRC-32 (format version 2). One payload buffer
+/// and one decoded-event buffer are reused for every chunk, so a query
+/// allocates only while they grow to the largest chunk it meets.
 pub struct StoreReader {
     file: std::fs::File,
     version: u16,
@@ -126,9 +134,13 @@ pub struct StoreReader {
     salvage: Option<SalvageSummary>,
     dropped_chunks: usize,
     dropped_events: u64,
-    /// Largest single decoded-payload allocation so far — the reader's
-    /// bounded-memory witness (`O(chunk)`, never `O(trace)`).
+    /// Largest chunk payload read so far — the reader's bounded-memory
+    /// witness (`O(chunk)`, never `O(trace)`).
     peak_chunk_bytes: usize,
+    /// The current chunk's payload bytes (reused across chunks).
+    payload: Vec<u8>,
+    /// The current chunk's decoded events (reused across chunks).
+    decoded: Vec<Event>,
 }
 
 impl StoreReader {
@@ -265,6 +277,8 @@ impl StoreReader {
             dropped_chunks: 0,
             dropped_events: 0,
             peak_chunk_bytes: 0,
+            payload: Vec::new(),
+            decoded: Vec::new(),
         }
     }
 
@@ -335,8 +349,8 @@ impl StoreReader {
         self.dropped_events
     }
 
-    /// Largest single chunk-payload allocation made so far — the
-    /// bounded-memory witness for tests.
+    /// Largest chunk payload read so far — the bounded-memory witness
+    /// for tests.
     pub fn peak_chunk_bytes(&self) -> usize {
         self.peak_chunk_bytes
     }
@@ -383,6 +397,14 @@ impl StoreReader {
     /// Decode chunk `i`'s events (exactly one chunk resident at a time),
     /// verifying its CRC-32 on version-2 files.
     pub fn read_chunk(&mut self, i: usize) -> Result<Vec<Event>, TraceError> {
+        self.load_chunk(i)?;
+        Ok(std::mem::take(&mut self.decoded))
+    }
+
+    /// Read, verify and decode chunk `i` into `self.decoded`. The CRC is
+    /// checked before any byte is decoded; on error `self.decoded` must
+    /// not be delivered.
+    fn load_chunk(&mut self, i: usize) -> Result<(), TraceError> {
         let meta = *self
             .index
             .get(i)
@@ -392,11 +414,11 @@ impl StoreReader {
         } else {
             None
         };
-        let hbytes = chunk_header_bytes(self.version);
+        let mut header_buf = [0u8; CHUNK_HEADER_BYTES];
+        let header = &mut header_buf[..chunk_header_bytes(self.version)];
         self.file.seek(SeekFrom::Start(meta.offset))?;
-        let mut header = vec![0u8; hbytes];
         self.file
-            .read_exact(&mut header)
+            .read_exact(header)
             .map_err(|_| TraceError::ShortChunk { index: i })?;
         let rank = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let count = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
@@ -404,16 +426,16 @@ impl StoreReader {
         if rank != meta.rank || count != meta.count || enc_len != meta.enc_len {
             return Err(TraceError::ShortChunk { index: i });
         }
-        let mut payload = vec![0u8; enc_len as usize];
+        self.payload.resize(enc_len as usize, 0);
         self.file
-            .read_exact(&mut payload)
+            .read_exact(&mut self.payload)
             .map_err(|_| TraceError::ShortChunk { index: i })?;
         if self.version >= STORE_VERSION {
             let header_crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
             let mut crc = Crc32::new();
             crc.update(&header[..12])
                 .update(&header[16..])
-                .update(&payload);
+                .update(&self.payload);
             let actual = crc.finish();
             if actual != header_crc || actual != meta.crc {
                 if obs::enabled() {
@@ -422,21 +444,13 @@ impl StoreReader {
                 return Err(TraceError::ChecksumMismatch { index: i });
             }
         }
-        self.peak_chunk_bytes = self.peak_chunk_bytes.max(payload.len());
-        let mut buf = Bytes::from(payload);
-        let mut prev_t = 0u64;
-        let mut events = Vec::with_capacity(count as usize);
-        for n in 0..count {
-            match decode_event(&mut buf, meta.rank, &mut prev_t) {
-                Some(ev) => events.push(ev),
-                None => return Err(TraceError::BadEvent { index: n as u64 }),
-            }
-        }
+        self.peak_chunk_bytes = self.peak_chunk_bytes.max(self.payload.len());
+        decode_chunk(&self.payload, meta.rank, count, &mut self.decoded)?;
         if let Some(t0) = start {
-            obs::histogram("analysis.decode_real_ns").record(t0.elapsed().as_nanos() as u64);
+            obs_decode_real_ns(t0.elapsed().as_nanos() as u64);
             obs_chunks_read(1);
         }
-        Ok(events)
+        Ok(())
     }
 
     /// In degraded mode, absorb a chunk-content error as an accounted
@@ -506,22 +520,19 @@ impl StoreReader {
                     continue;
                 }
             }
-            let events = match self.read_chunk(i) {
-                Ok(events) => events,
-                Err(e) => {
-                    self.degrade(i, e, Some(&mut stats))?;
-                    continue;
-                }
-            };
+            if let Err(e) = self.load_chunk(i) {
+                self.degrade(i, e, Some(&mut stats))?;
+                continue;
+            }
             stats.chunks_decoded += 1;
-            for ev in events {
+            for ev in &self.decoded {
                 if let Some((t0, t1)) = window {
-                    if !event_overlaps(&ev, t0, t1) {
+                    if !event_overlaps(ev, t0, t1) {
                         continue;
                     }
                 }
                 stats.events += 1;
-                f(&ev);
+                f(ev);
             }
         }
         Ok(stats)
@@ -540,14 +551,11 @@ impl StoreReader {
             if self.index[i].rank != rank {
                 continue;
             }
-            let events = match self.read_chunk(i) {
-                Ok(events) => events,
-                Err(e) => {
-                    self.degrade(i, e, None)?;
-                    continue;
-                }
-            };
-            for ev in &events {
+            if let Err(e) = self.load_chunk(i) {
+                self.degrade(i, e, None)?;
+                continue;
+            }
+            for ev in &self.decoded {
                 f(ev);
             }
         }
@@ -581,8 +589,8 @@ impl StoreReader {
     pub fn read_all(&mut self) -> Result<Trace, TraceError> {
         let mut events = Vec::with_capacity(self.events as usize);
         for i in 0..self.index.len() {
-            match self.read_chunk(i) {
-                Ok(chunk) => events.extend(chunk),
+            match self.load_chunk(i) {
+                Ok(()) => events.extend_from_slice(&self.decoded),
                 Err(e) => self.degrade(i, e, None)?,
             }
         }

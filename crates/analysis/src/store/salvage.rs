@@ -19,13 +19,13 @@ use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::Event;
 
-use super::codec::decode_event;
+use super::codec::decode_chunk;
 use super::crc::{crc32, Crc32};
 use super::reader::{take_string, SalvageSummary, StoreReader};
 use super::writer::{encode_preamble, put_string};
 use super::{
-    chunk_header_bytes, trailer_bytes, version_supported, ChunkMeta, HEADER_BYTES, STORE_MAGIC,
-    STORE_VERSION, STORE_VERSION_V1,
+    chunk_header_bytes, trailer_bytes, version_supported, ChunkMeta, CHUNK_HEADER_BYTES,
+    HEADER_BYTES, STORE_MAGIC, STORE_VERSION, STORE_VERSION_V1,
 };
 use crate::error::TraceError;
 
@@ -221,6 +221,9 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
     let hbytes = chunk_header_bytes(version) as u64;
     let mut chunks: Vec<ChunkMeta> = Vec::new();
     let mut max_func: Option<u32> = None;
+    let mut header_buf = [0u8; CHUNK_HEADER_BYTES];
+    let mut payload: Vec<u8> = Vec::new();
+    let mut decoded: Vec<Event> = Vec::new();
     loop {
         let remaining = file_bytes - pos;
         if remaining < hbytes {
@@ -229,9 +232,9 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
             }
             break;
         }
-        let mut header = vec![0u8; hbytes as usize];
+        let header = &mut header_buf[..hbytes as usize];
         file.seek(SeekFrom::Start(pos))?;
-        file.read_exact(&mut header)?;
+        file.read_exact(header)?;
         let rank = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         let count = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         let enc_len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
@@ -258,7 +261,7 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
                 break;
             }
         };
-        let mut payload = vec![0u8; enc_len as usize];
+        payload.resize(enc_len as usize, 0);
         file.read_exact(&mut payload)?;
         let crc_field;
         if version >= STORE_VERSION {
@@ -274,21 +277,12 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
         } else {
             // Version 1 has no checksum: prove the chunk by decoding it.
             crc_field = 0;
-            let mut buf = Bytes::from(payload);
-            let mut prev_t = 0u64;
-            let mut ok = true;
-            for _ in 0..count {
-                match decode_event(&mut buf, rank, &mut prev_t) {
-                    Some(ev) => track_max_func(&ev, &mut max_func),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok || buf.remaining() > 0 {
+            if decode_chunk(&payload, rank, count, &mut decoded).is_err() {
                 stop_reason = Some("chunk does not decode".to_string());
                 break;
+            }
+            for ev in &decoded {
+                track_max_func(ev, &mut max_func);
             }
         }
         chunks.push(ChunkMeta {

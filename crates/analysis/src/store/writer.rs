@@ -37,6 +37,12 @@ fn obs_store_bytes(n: u64) {
         .add(n);
 }
 
+fn obs_encode_real_ns(ns: u64) {
+    static H: OnceLock<&'static obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| obs::histogram("analysis.encode_real_ns"))
+        .record(ns);
+}
+
 /// What one finished store write produced.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreStats {
@@ -247,7 +253,7 @@ impl<W: Write + Seek> StoreWriter<W> {
         }
         self.index.push(meta);
         if let Some(t0) = start {
-            obs::histogram("analysis.encode_real_ns").record(t0.elapsed().as_nanos() as u64);
+            obs_encode_real_ns(t0.elapsed().as_nanos() as u64);
             obs_chunks_written(1);
             let disk = header.len() as u64 + buf.payload.len() as u64;
             obs_store_bytes(disk);

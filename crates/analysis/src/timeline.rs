@@ -17,7 +17,7 @@
 //! and assembles the rows at [`TimelineBuilder::finish`]. Memory is
 //! `O(rows × width)` — the size of the picture, not of the trace.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, Trace};
@@ -64,21 +64,80 @@ impl Glyph {
     }
 }
 
+/// The window's time-to-column mapping, fixed at construction.
+#[derive(Clone, Copy)]
+struct Buckets {
+    t0: SimTime,
+    /// Window length in nanoseconds, at least 1.
+    span: u64,
+    width: usize,
+}
+
+impl Buckets {
+    fn of(&self, t: SimTime) -> usize {
+        let rel = t.saturating_sub(self.t0).as_nanos();
+        if rel >= self.span {
+            return self.width - 1;
+        }
+        // rel < span, so the quotient is below `width`.
+        match rel.checked_mul(self.width as u64) {
+            Some(p) => (p / self.span) as usize,
+            None => (rel as u128 * self.width as u128 / self.span as u128) as usize,
+        }
+    }
+
+    /// Raise every cell of `grid` that `[a, b]` covers to at least `g`.
+    fn paint(&self, grid: &mut [Glyph], a: SimTime, b: SimTime, g: Glyph) {
+        for cell in grid[self.of(a)..=self.of(b)].iter_mut() {
+            if (*cell as u8) < (g as u8) {
+                *cell = g;
+            }
+        }
+    }
+}
+
+/// One OpenMP thread of a rank: its row (empty until first painted,
+/// and only painted with per-thread rows on) and its open frames.
+#[derive(Default)]
+struct ThreadRow {
+    grid: Vec<Glyph>,
+    open: Vec<SimTime>,
+}
+
+/// Everything the picture keeps about one rank.
+struct RankRow {
+    rank: u32,
+    first: SimTime,
+    last: SimTime,
+    grid: Vec<Glyph>,
+    /// Indexed by OpenMP thread id, grown on demand.
+    threads: Vec<ThreadRow>,
+}
+
+impl RankRow {
+    fn thread(&mut self, thread: u16) -> &mut ThreadRow {
+        let i = thread as usize;
+        if i >= self.threads.len() {
+            self.threads.resize_with(i + 1, ThreadRow::default);
+        }
+        &mut self.threads[i]
+    }
+}
+
 /// Streaming timeline accumulator over a fixed time window `[t0, t1]`.
 pub struct TimelineBuilder {
     program: String,
     t0: SimTime,
     t1: SimTime,
-    width: usize,
+    buckets: Buckets,
     per_thread: bool,
-    /// Row grids keyed `(rank, None)` for the rank row, `(rank,
-    /// Some(thread))` for per-thread rows; `BTreeMap` order is already
-    /// display order (rank row first, then its threads ascending).
-    grids: BTreeMap<(u32, Option<u16>), Vec<Glyph>>,
-    /// Per-rank first/last event time, painted as the idle baseline.
-    first_last: BTreeMap<u32, (SimTime, SimTime)>,
-    /// Open function frames per (rank, thread).
-    func_stack: BTreeMap<(u32, u16), Vec<SimTime>>,
+    /// One row per rank, in first-seen order until `finish` sorts them.
+    rows: Vec<RankRow>,
+    /// Rank → index into `rows`.
+    slots: HashMap<u32, usize>,
+    /// The last `(rank, slot)` looked up: store chunks deliver one rank
+    /// at a time, so most events skip the map.
+    last: Option<(u32, usize)>,
     events: u64,
 }
 
@@ -94,33 +153,40 @@ impl TimelineBuilder {
             program: program.into(),
             t0,
             t1,
-            width: opts.width.max(8),
+            buckets: Buckets {
+                t0,
+                span: t1.saturating_sub(t0).as_nanos().max(1),
+                width: opts.width.max(8),
+            },
             per_thread: opts.per_thread,
-            grids: BTreeMap::new(),
-            first_last: BTreeMap::new(),
-            func_stack: BTreeMap::new(),
+            rows: Vec::new(),
+            slots: HashMap::new(),
+            last: None,
             events: 0,
         }
     }
 
-    fn bucket_of(&self, t: SimTime) -> usize {
-        let span = self.t1.saturating_sub(self.t0).max(SimTime::from_nanos(1));
-        let rel = t.saturating_sub(self.t0).as_nanos() as u128;
-        ((rel * self.width as u128 / span.as_nanos().max(1) as u128) as usize).min(self.width - 1)
-    }
-
-    fn paint(&mut self, rank: u32, thread: Option<u16>, a: SimTime, b: SimTime, g: Glyph) {
-        let (ba, bb) = (self.bucket_of(a), self.bucket_of(b));
-        let width = self.width;
-        let grid = self
-            .grids
-            .entry((rank, thread))
-            .or_insert_with(|| vec![Glyph::Blank; width]);
-        for cell in grid[ba..=bb].iter_mut() {
-            if (*cell as u8) < (g as u8) {
-                *cell = g;
+    fn row(&mut self, rank: u32, t: SimTime) -> &mut RankRow {
+        let slot = match self.last {
+            Some((r, slot)) if r == rank => slot,
+            _ => {
+                let rows = &mut self.rows;
+                let width = self.buckets.width;
+                let slot = *self.slots.entry(rank).or_insert_with(|| {
+                    rows.push(RankRow {
+                        rank,
+                        first: t,
+                        last: t,
+                        grid: vec![Glyph::Blank; width],
+                        threads: Vec::new(),
+                    });
+                    rows.len() - 1
+                });
+                self.last = Some((rank, slot));
+                slot
             }
-        }
+        };
+        &mut self.rows[slot]
     }
 
     /// Account one event (order-independent except for
@@ -128,58 +194,39 @@ impl TimelineBuilder {
     /// causal order — what traces and store chunks both provide).
     pub fn push(&mut self, ev: &Event) {
         self.events += 1;
-        let rank = ev.rank();
-        let entry = self
-            .first_last
-            .entry(rank)
-            .or_insert((ev.time(), ev.time()));
-        entry.0 = entry.0.min(ev.time());
-        entry.1 = entry.1.max(ev.time());
-        match *ev {
-            Event::FuncEnter {
-                t, rank, thread, ..
-            } => {
-                self.func_stack.entry((rank, thread)).or_default().push(t);
+        let (buckets, per_thread) = (self.buckets, self.per_thread);
+        let t = ev.time();
+        let row = self.row(ev.rank(), t);
+        row.first = row.first.min(t);
+        row.last = row.last.max(t);
+        // Paint `[a, b]` on the rank row and, with per-thread rows on,
+        // on `thread`'s row too.
+        let paint_both = |row: &mut RankRow, thread: u16, a, b, g| {
+            buckets.paint(&mut row.grid, a, b, g);
+            if per_thread {
+                let th = row.thread(thread);
+                if th.grid.is_empty() {
+                    th.grid = vec![Glyph::Blank; buckets.width];
+                }
+                buckets.paint(&mut th.grid, a, b, g);
             }
-            Event::FuncExit {
-                t, rank, thread, ..
-            } => {
-                if let Some(t0) = self.func_stack.entry((rank, thread)).or_default().pop() {
-                    self.paint(rank, None, t0, t, Glyph::Func);
-                    if self.per_thread {
-                        self.paint(rank, Some(thread), t0, t, Glyph::Func);
-                    }
+        };
+        match *ev {
+            Event::FuncEnter { t, thread, .. } => row.thread(thread).open.push(t),
+            Event::FuncExit { t, thread, .. } => {
+                if let Some(t0) = row.thread(thread).open.pop() {
+                    paint_both(row, thread, t0, t, Glyph::Func);
                 }
             }
             Event::FuncBatch {
-                t,
-                rank,
-                thread,
-                span,
-                ..
-            } => {
-                self.paint(rank, None, t, t + span, Glyph::Func);
-                if self.per_thread {
-                    self.paint(rank, Some(thread), t, t + span, Glyph::Func);
-                }
-            }
-            Event::MpiCall { t, t_end, rank, .. } => {
-                self.paint(rank, None, t, t_end, Glyph::Mpi);
-            }
+                t, thread, span, ..
+            } => paint_both(row, thread, t, t + span, Glyph::Func),
+            Event::MpiCall { t, t_end, .. } => buckets.paint(&mut row.grid, t, t_end, Glyph::Mpi),
             Event::OmpThread {
-                t,
-                t_end,
-                rank,
-                thread,
-                ..
-            } => {
-                self.paint(rank, None, t, t_end, Glyph::Wiggle);
-                if self.per_thread {
-                    self.paint(rank, Some(thread), t, t_end, Glyph::Wiggle);
-                }
-            }
-            Event::Suspended { t, t_end, rank } => {
-                self.paint(rank, None, t, t_end, Glyph::Suspended);
+                t, t_end, thread, ..
+            } => paint_both(row, thread, t, t_end, Glyph::Wiggle),
+            Event::Suspended { t, t_end, .. } => {
+                buckets.paint(&mut row.grid, t, t_end, Glyph::Suspended)
             }
             _ => {}
         }
@@ -191,31 +238,32 @@ impl TimelineBuilder {
         if self.events == 0 {
             return String::from("(empty trace)\n");
         }
-        // Idle baseline: each rank's first..last event span.
-        let spans: Vec<(u32, SimTime, SimTime)> = self
-            .first_last
-            .iter()
-            .map(|(&r, &(a, b))| (r, a, b))
-            .collect();
-        for (r, a, b) in spans {
-            self.paint(r, None, a, b, Glyph::Idle);
-        }
-        let ranks = self.first_last.len();
+        self.rows.sort_unstable_by_key(|row| row.rank);
         let mut out = String::new();
         out.push_str(&format!(
             "time-line of {:?}: {} .. {} ({} ranks)\n",
-            self.program, self.t0, self.t1, ranks
+            self.program,
+            self.t0,
+            self.t1,
+            self.rows.len()
         ));
         out.push_str("legend: M=MPI call  ~=OpenMP region  #=function  S=suspended  .=traced\n");
-        for (&(rank, thread), grid) in &self.grids {
-            let label = match thread {
-                None => format!("rank {rank:>3}      "),
-                Some(t) => format!("  thread {t:>2}   "),
-            };
+        let mut line = |label: String, grid: &[Glyph]| {
             out.push_str(&label);
             out.push('|');
             out.extend(grid.iter().map(|g| g.ch()));
             out.push_str("|\n");
+        };
+        for row in &mut self.rows {
+            // Idle baseline: the rank's first..last event span.
+            self.buckets
+                .paint(&mut row.grid, row.first, row.last, Glyph::Idle);
+            line(format!("rank {:>3}      ", row.rank), &row.grid);
+            for (t, th) in row.threads.iter().enumerate() {
+                if !th.grid.is_empty() {
+                    line(format!("  thread {t:>2}   "), &th.grid);
+                }
+            }
         }
         out
     }

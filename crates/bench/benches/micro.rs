@@ -18,11 +18,11 @@
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
 //! steady-state operation performs — control-plane send, probe fire,
-//! VT begin/end pair, trace append, coroutine handoff — and the run
-//! fails if a path gains an allocation. Timing rows tolerate noise; the
-//! allocation ledger is exact, so an accidental `clone()` or `Box::new`
-//! on a fast path is a deterministic failure rather than a 3%-slower
-//! shrug.
+//! VT begin/end pair, trace append, store-query chunk decode, coroutine
+//! handoff — and the run fails if a path gains an allocation. Timing
+//! rows tolerate noise; the allocation ledger is exact, so an accidental
+//! `clone()` or `Box::new` on a fast path is a deterministic failure
+//! rather than a 3%-slower shrug.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -552,6 +552,93 @@ fn bench_store_crc() {
     );
 }
 
+/// A 16-rank store of 4096 enter/MPI/exit steps per rank at the default
+/// 2048-event chunks (96 chunks), plus a window over its middle half
+/// and the number of events the chunks overlapping it hold. Rows of one
+/// rank are written contiguously, so chunks are rank-major like a
+/// recorded trace's.
+fn query_store() -> (std::path::PathBuf, (SimTime, SimTime), u64) {
+    use dynprof_analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
+    use dynprof_vt::{Event, VtFuncId};
+
+    let mut events = Vec::new();
+    for rank in 0..16u32 {
+        for i in 0..4096u64 {
+            let t = SimTime::from_nanos(i * 1_000 + rank as u64 * 7);
+            let func = VtFuncId((i % 37) as u32);
+            events.push(Event::FuncEnter {
+                t,
+                rank,
+                thread: 0,
+                func,
+            });
+            events.push(Event::MpiCall {
+                t: t + SimTime::from_nanos(100),
+                t_end: t + SimTime::from_nanos(400),
+                rank,
+                op: 2,
+                peer: ((rank + 1) % 16) as i32,
+                bytes: 4096,
+            });
+            events.push(Event::FuncExit {
+                t: t + SimTime::from_nanos(900),
+                rank,
+                thread: 0,
+                func,
+            });
+        }
+    }
+    let trace = Trace {
+        program: "bench".into(),
+        functions: (0..37).map(|i| format!("fn_{i}")).collect(),
+        events,
+    };
+    let path =
+        std::env::temp_dir().join(format!("dynprof-bench-query-{}.vgvs", std::process::id()));
+    write_store_from_trace(&trace, &path, StoreOptions::default()).expect("bench store");
+    let window = (SimTime::from_micros(1024), SimTime::from_micros(3072));
+    let decoded = StoreReader::open(&path)
+        .expect("bench store opens")
+        .chunks()
+        .iter()
+        .filter(|m| m.overlaps(window.0, window.1))
+        .map(|m| m.count as u64)
+        .sum();
+    (path, window, decoded)
+}
+
+/// The store's read path: a windowed query (seek, read, CRC-check,
+/// decode, window filter) over a multi-chunk store, reported per
+/// decoded event.
+fn bench_store_query() {
+    use dynprof_analysis::store::StoreReader;
+
+    let (path, window, decoded) = query_store();
+    let mut r = StoreReader::open(&path).expect("bench store opens");
+    let mut query = || {
+        let mut seen = 0u64;
+        r.for_each_query(Some(window), None, |ev| {
+            seen += black_box(ev).time().as_nanos() & 1;
+        })
+        .expect("clean store");
+        black_box(seen);
+    };
+    query();
+    let best = (0..15)
+        .map(|_| {
+            let t = Instant::now();
+            query();
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "{:<34} {:>12.1} ns/event  ({decoded} events decoded per query)",
+        "store/query_decode",
+        best / decoded as f64
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 fn bench_config_resolve() {
     let mut cfg = VtConfig::all_off();
     for i in 0..60 {
@@ -866,6 +953,33 @@ fn alloc_trace_append() {
     pinned_allocs("alloc/trace_append", total, OPS, 0, OPS / 4);
 }
 
+/// A windowed store query reuses the reader's payload and decoded-event
+/// buffers: once they have grown to the largest chunk, decoding a chunk
+/// allocates nothing.
+fn alloc_store_query() {
+    use dynprof_analysis::store::StoreReader;
+
+    const QUERIES: u64 = 8;
+    let (path, window, _) = query_store();
+    let mut r = StoreReader::open(&path).expect("bench store opens");
+    let mut query = || {
+        r.for_each_query(Some(window), None, |ev| {
+            black_box(ev);
+        })
+        .expect("clean store")
+        .chunks_decoded as u64
+    };
+    query();
+    let mut chunks = 0;
+    let total = alloc_delta(|| {
+        for _ in 0..QUERIES {
+            chunks += query();
+        }
+    });
+    std::fs::remove_file(&path).ok();
+    pinned_allocs("alloc/store_query", total, chunks, 0, 16);
+}
+
 /// The headline ledger of the threadless engine: one steady-state
 /// coroutine handoff — block the receiver, pop the next event, pre-set
 /// its clock, swap stacks — performs **zero** heap allocations. (On the
@@ -916,6 +1030,7 @@ fn bench_alloc_ledger() {
     alloc_probe_fire();
     alloc_vt_begin_end();
     alloc_trace_append();
+    alloc_store_query();
     alloc_coroutine_handoff();
 }
 
@@ -929,6 +1044,7 @@ fn main() {
     bench_verifier();
     bench_trace_codec();
     bench_store_crc();
+    bench_store_query();
     bench_config_resolve();
     bench_des_engine();
     bench_runtimes();

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use dynprof::analysis::{render, TimelineBuilder, TimelineOptions};
 use dynprof::dpcl::{BackoffSchedule, DpclClient, DpclSystem};
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
@@ -116,6 +117,136 @@ fn trace_encode_decode_round_trip() {
         };
         let decoded = Trace::decode(trace.encode()).expect("decode");
         assert_eq!(decoded, trace);
+    }
+}
+
+/// A multi-rank trace with OpenMP teams, rank-major (the order store
+/// chunks deliver it): each rank is a causal stream of nested
+/// enter/exit pairs spread over its threads, exits with no open frame,
+/// and span events. Rank ids are sparse and in shuffled order.
+fn arb_rank_major_events(r: &mut SimRng) -> Vec<Event> {
+    let nranks = 2 + r.gen_index(6);
+    let threads = 2 + r.gen_index(4);
+    let mut ranks: Vec<u32> = (0..nranks)
+        .map(|k| (5 * k + r.gen_index(5)) as u32)
+        .collect();
+    for i in (1..ranks.len()).rev() {
+        ranks.swap(i, r.gen_index(i + 1));
+    }
+    let mut events = Vec::new();
+    for rank in ranks {
+        let mut t = r.gen_range_u64(0..=2_000);
+        let mut open: Vec<Vec<VtFuncId>> = vec![Vec::new(); threads];
+        for _ in 0..20 + r.gen_index(80) {
+            // Steps of 0 keep equal timestamps in the mix.
+            t += r.gen_range_u64(0..=400);
+            let at = SimTime::from_nanos(t);
+            let thread = r.gen_index(threads);
+            let dur = SimTime::from_nanos(r.gen_range_u64(0..=1_500));
+            events.push(match r.gen_index(8) {
+                0 | 1 => {
+                    let func = VtFuncId(r.gen_index(6) as u32);
+                    open[thread].push(func);
+                    Event::FuncEnter {
+                        t: at,
+                        rank,
+                        thread: thread as u16,
+                        func,
+                    }
+                }
+                2 | 3 => Event::FuncExit {
+                    t: at,
+                    rank,
+                    thread: thread as u16,
+                    // An empty stack makes this an unmatched exit.
+                    func: open[thread].pop().unwrap_or(VtFuncId(9)),
+                },
+                4 => Event::MpiCall {
+                    t: at,
+                    t_end: at + dur,
+                    rank,
+                    op: 2,
+                    peer: 0,
+                    bytes: 64,
+                },
+                5 => Event::OmpThread {
+                    t: at,
+                    t_end: at + dur,
+                    rank,
+                    thread: thread as u16,
+                    region: 1,
+                },
+                // A batch carries its start time, so it can step back.
+                6 => Event::FuncBatch {
+                    t: at.saturating_sub(dur),
+                    rank,
+                    thread: thread as u16,
+                    func: VtFuncId(1),
+                    count: 3,
+                    span: dur,
+                },
+                _ => Event::Suspended {
+                    t: at,
+                    t_end: at + dur,
+                    rank,
+                },
+            });
+        }
+    }
+    events
+}
+
+/// The rank rows of a rendered time-line (everything after the title
+/// and legend lines).
+fn timeline_rows(s: &str) -> String {
+    s.lines().skip(2).map(|l| format!("{l}\n")).collect()
+}
+
+/// A time-line does not depend on how ranks interleave: rendering the
+/// time-sorted trace (ranks interleaved event by event) equals feeding
+/// the builder rank by rank, as store chunks do, and each rank's rows
+/// equal that rank rendered alone.
+#[test]
+fn timeline_is_independent_of_rank_interleaving() {
+    let mut r = rng(13);
+    for case in 0..150 {
+        let chunk_order = arb_rank_major_events(&mut r);
+        let mut sorted = chunk_order.clone();
+        sorted.sort_by_key(|e| (e.time(), e.rank()));
+        let (t0, t1) = (sorted[0].time(), sorted[sorted.len() - 1].time());
+        let trace = Trace {
+            program: "prop".into(),
+            functions: Vec::new(),
+            events: sorted,
+        };
+        let mut ranks: Vec<u32> = chunk_order.iter().map(|e| e.rank()).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        for per_thread in [false, true] {
+            let opts = TimelineOptions {
+                width: 8 + r.gen_index(72),
+                per_thread,
+            };
+            let rendered = render(&trace, opts);
+            let mut b = TimelineBuilder::new("prop", t0, t1, opts);
+            for ev in &chunk_order {
+                b.push(ev);
+            }
+            assert_eq!(b.finish(), rendered, "case {case}, per_thread {per_thread}");
+            let mut alone = String::new();
+            for &rank in &ranks {
+                let mut b = TimelineBuilder::new("prop", t0, t1, opts);
+                for ev in chunk_order.iter().filter(|e| e.rank() == rank) {
+                    b.push(ev);
+                }
+                alone.push_str(&timeline_rows(&b.finish()));
+            }
+            assert_eq!(
+                timeline_rows(&rendered),
+                alone,
+                "case {case}, per_thread {per_thread}: rows leak between ranks"
+            );
+        }
     }
 }
 
