@@ -7,23 +7,21 @@
 //! $ vgv slice run.vgvs --t0 2ms --t1 5ms [--rank N] [--width N]
 //! $ vgv comm run.vgvs                 # rank x rank byte matrix
 //! $ vgv fsck run.vgvs [--repair [--out fixed.vgvs]]
-//! $ vgv convert run.vgvt run.vgvs [--chunk-events N]
-//! $ vgv view run.vgvt [--width N] [--per-thread] [--top N]
-//! $ vgv run.vgvt                      # same as `vgv view` (legacy)
+//! $ vgv convert run.vgvs out.vgvs [--chunk-events N]   # re-chunk
+//! $ vgv view run.vgvs [--width N] [--per-thread] [--top N]
 //! ```
 //!
-//! Subcommands other than `view`/`convert` operate on chunk-indexed
-//! `VGVS` stores and decode only what the query needs; `view` is the
-//! legacy load-everything path for flat `VGVT` traces. A store argument
-//! names either one file or a rotated segment family (`run.vgvs` finds
-//! `run.0000.vgvs`, `run.0001.vgvs`, …); `--salvage` opens crashed
+//! Every subcommand reads chunk-indexed `VGVS` stores. The streaming
+//! ones (`info` … `comm`) decode only what the query needs; `view` is the
+//! load-everything picture of one store file. A streaming command's store
+//! argument names either one file or a rotated segment family (`run.vgvs`
+//! finds `run.0000.vgvs`, `run.0001.vgvs`, …); `--salvage` opens crashed
 //! captures without a footer, `--degraded` skips (and reports) corrupt
 //! chunks instead of failing.
 
-use dynprof_analysis::store::{fsck, repair, SegmentSet, StoreOptions};
+use dynprof_analysis::store::{compact, fsck, repair, SegmentSet, StoreOptions, StoreReader};
 use dynprof_analysis::{
-    comm_report, convert, info_report, ranks_report, read_trace, render, slice_report, top_report,
-    trace_volume, Profile, ProfileOptions, TimelineOptions,
+    comm_report, info_report, ranks_report, slice_report, top_report, view_report, ProfileOptions,
 };
 use dynprof_sim::SimTime;
 
@@ -37,11 +35,11 @@ fn usage() -> ! {
          \x20 slice <store.vgvs> --t0 T --t1 T [--rank N] [--width N]\n\
          \x20 comm <store.vgvs>                    communication matrix\n\
          \x20 fsck <store.vgvs> [--repair] [--out F]  verify chunks, footer; rebuild if asked\n\
-         \x20 convert <in.vgvt> <out.vgvs> [--chunk-events N]\n\
-         \x20 view <trace.vgvt> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
-         store commands also take --salvage (open footer-less captures) and\n\
-         --degraded (skip corrupt chunks, reporting the loss); a store path\n\
-         may name a rotated segment family (run.vgvs -> run.0000.vgvs, ...)\n\
+         \x20 convert <in.vgvs> <out.vgvs> [--chunk-events N]  re-chunk a store\n\
+         \x20 view <store.vgvs> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
+         info/ranks/top/slice/comm also take --salvage (open footer-less captures)\n\
+         and --degraded (skip corrupt chunks, reporting the loss), and their store\n\
+         path may name a rotated segment family (run.vgvs -> run.0000.vgvs, ...)\n\
          times accept ns (plain number), us, ms or s suffixes, e.g. --t0 2.5ms"
     );
     std::process::exit(2);
@@ -196,14 +194,8 @@ fn main() {
     let Some(command) = args.first().cloned() else {
         usage();
     };
-    // `vgv <file.vgvt>` (no subcommand) keeps working as the legacy view.
-    let (command, rest): (&str, &[String]) = if command.starts_with('-') || command.contains('.') {
-        ("view", &args)
-    } else {
-        (command.as_str(), &args[1..])
-    };
-    let f = parse_flags(rest);
-    match command {
+    let f = parse_flags(&args[1..]);
+    match command.as_str() {
         "info" => {
             let [path] = &f.positional[..] else { usage() };
             let set = open_source(path, &f);
@@ -260,10 +252,13 @@ fn main() {
             let [from, to] = &f.positional[..] else {
                 usage()
             };
+            if from == to {
+                fail(to, "output must differ from the input store");
+            }
             let opts = StoreOptions {
                 chunk_events: f.chunk_events,
             };
-            let stats = convert(from, to, opts).unwrap_or_else(|e| fail(from, e));
+            let stats = compact(&[from], to, opts).unwrap_or_else(|e| fail(from, e));
             println!(
                 "converted {from} -> {to}: {} events in {} chunks, {} bytes",
                 stats.events, stats.chunks, stats.bytes
@@ -271,38 +266,13 @@ fn main() {
         }
         "view" => {
             let [path] = &f.positional[..] else { usage() };
-            let trace = read_trace(path).unwrap_or_else(|e| fail(path, e));
-            print!(
-                "{}",
-                render(
-                    &trace,
-                    TimelineOptions {
-                        width: f.width,
-                        per_thread: f.per_thread,
-                    }
-                )
-            );
-            let v = trace_volume(&trace, 24);
-            println!(
-                "\n{} events, {} modelled bytes, {:.1} KB/s aggregate",
-                trace.events.len(),
-                v.bytes,
-                v.bytes_per_second / 1024.0
-            );
-            let comm = dynprof_analysis::CommStats::from_trace(&trace);
-            let matrix = comm.render_matrix();
-            if !matrix.is_empty() {
-                println!("\n-- communication --");
-                print!("{matrix}");
-            }
-            println!("\n-- statistics (top {}) --", f.top);
-            let profile = Profile::from_trace_opts(
-                &trace,
-                ProfileOptions {
-                    exclude_suspensions: f.exclude,
-                },
-            );
-            print!("{}", profile.render_top(f.top));
+            let mut r = StoreReader::open(path).unwrap_or_else(|e| fail(path, e));
+            let opts = ProfileOptions {
+                exclude_suspensions: f.exclude,
+            };
+            let report = view_report(&mut r, f.width, f.per_thread, f.top, opts)
+                .unwrap_or_else(|e| fail(path, e));
+            print!("{report}");
         }
         other => {
             eprintln!("vgv: unknown command {other:?}");

@@ -7,14 +7,14 @@
 //! processor" problem), communication statistics, and the main time-line
 //! display rendered as ASCII art.
 //!
-//! ## Two trace formats
+//! ## One trace format
 //!
-//! | | legacy `VGVT` ([`read_trace`]) | store `VGVS` ([`store`]) |
-//! |---|---|---|
-//! | layout | one flat event array | fixed-size chunks + footer index |
-//! | read cost | whole file, always | only chunks overlapping the query |
-//! | memory | `O(trace)` | `O(chunk)` |
-//! | written by | [`write_trace`] | [`store::StoreWriter`] |
+//! Traces live in `VGVS` stores ([`store`]): fixed-size chunks plus a
+//! footer index, so a query reads only the chunks overlapping it and
+//! holds `O(chunk)` memory. [`store::StoreWriter`] writes them;
+//! [`store::StoreReader`] reads them, and its `read_all` materializes a
+//! whole store as a [`dynprof_vt::Trace`] for the load-everything
+//! [`view_report`].
 //!
 //! The analyses consume **event streams**, not materialized traces:
 //! [`ProfileBuilder`], [`TimelineBuilder`] and [`CommStats::push`] accept
@@ -65,7 +65,6 @@ mod profile;
 mod query;
 pub mod store;
 mod timeline;
-mod tracefile;
 
 pub use comm::CommStats;
 pub use error::TraceError;
@@ -73,6 +72,5 @@ pub use profile::{
     suspension_windows, trace_volume, FuncProfile, Profile, ProfileBuilder, ProfileOptions,
     TraceVolume,
 };
-pub use query::{comm_report, info_report, ranks_report, slice_report, top_report};
+pub use query::{comm_report, info_report, ranks_report, slice_report, top_report, view_report};
 pub use timeline::{render, TimelineBuilder, TimelineOptions};
-pub use tracefile::{convert, decode_legacy, read_trace, write_trace};

@@ -1,15 +1,18 @@
 //! Incremental queries over a chunk-indexed store, rendered as text.
 //!
 //! These are the library entry points behind the `vgv` subcommands
-//! (`info`, `ranks`, `top`, `slice`), so the golden tests pin the same
-//! bytes the CLI prints. Each report states — via [`QueryStats`] where a
-//! query ran — how much of the store it actually decoded.
+//! (`info`, `ranks`, `top`, `slice`, `comm`, `view`), so the golden tests
+//! pin the same bytes the CLI prints. Each streaming report states — via
+//! [`QueryStats`] where a query ran — how much of the store it actually
+//! decoded.
 
 use dynprof_sim::SimTime;
 
 use crate::error::TraceError;
-use crate::store::{EventSource, QueryStats, STORE_VERSION};
-use crate::{CommStats, Profile, ProfileOptions, TimelineBuilder, TimelineOptions};
+use crate::store::{EventSource, QueryStats, StoreReader, STORE_VERSION};
+use crate::{
+    render, trace_volume, CommStats, Profile, ProfileOptions, TimelineBuilder, TimelineOptions,
+};
 
 /// `vgv info`: the store summary, computed from the footer index alone —
 /// no chunk payload is decoded. Works on a single store or a rotated
@@ -130,6 +133,36 @@ pub fn comm_report<S: EventSource + ?Sized>(reader: &mut S) -> Result<String, Tr
     for (rank, t) in &stats.mpi_time {
         out.push_str(&format!("rank {rank:>3} mpi time {t}\n"));
     }
+    Ok(out)
+}
+
+/// `vgv view`: the whole-trace picture — time-line, trace volume,
+/// communication matrix and hot-function statistics — over the store
+/// materialized by [`StoreReader::read_all`]. Memory is `O(trace)`; use
+/// the streaming reports on large stores.
+pub fn view_report(
+    reader: &mut StoreReader,
+    width: usize,
+    per_thread: bool,
+    top: usize,
+    opts: ProfileOptions,
+) -> Result<String, TraceError> {
+    let trace = reader.read_all()?;
+    let mut out = render(&trace, TimelineOptions { width, per_thread });
+    let v = trace_volume(&trace, 24);
+    out.push_str(&format!(
+        "\n{} events, {} modelled bytes, {:.1} KB/s aggregate\n",
+        trace.events.len(),
+        v.bytes,
+        v.bytes_per_second / 1024.0
+    ));
+    let matrix = CommStats::from_trace(&trace).render_matrix();
+    if !matrix.is_empty() {
+        out.push_str("\n-- communication --\n");
+        out.push_str(&matrix);
+    }
+    out.push_str(&format!("\n-- statistics (top {top}) --\n"));
+    out.push_str(&Profile::from_trace_opts(&trace, opts).render_top(top));
     Ok(out)
 }
 

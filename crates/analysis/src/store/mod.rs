@@ -1,10 +1,9 @@
 //! # Chunk-indexed trace store (`VGVS`)
 //!
-//! The legacy `VGVT` format is one flat event array: reading *anything*
-//! means decoding *everything*, which dies at the paper's 144×8 scale and
-//! is hopeless at 10k+ ranks. The store replaces it with a seekable,
-//! chunk-compressed layout so every query touches only the bytes it
-//! needs. Format **version 2** (this layout) is also crash-consistent:
+//! A flat event array means reading *anything* decodes *everything*,
+//! which dies at the paper's 144×8 scale and is hopeless at 10k+ ranks.
+//! The store is instead a seekable, chunk-compressed layout, so every
+//! query touches only the bytes it needs. Format **version 2** (this layout) is also crash-consistent:
 //! every chunk carries a CRC-32 and the file is salvageable without its
 //! footer (see [`StoreReader::open_salvage`] and DESIGN §17).
 //!
@@ -57,7 +56,7 @@
 //!
 //! **Writing.** [`StoreWriter`] streams events (see
 //! [`write_store_from_vt`] for the `VtLib` flush path and
-//! [`write_store_from_trace`] for legacy conversion); [`compact`] merges
+//! [`write_store_from_trace`] for an in-memory trace); [`compact`] merges
 //! small per-rank segment files into one indexed store, re-mapping
 //! function ids when the segments' dictionaries differ and re-verifying
 //! every input CRC on the way through.

@@ -582,10 +582,10 @@ impl StoreReader {
         out
     }
 
-    /// Materialize the whole store as a legacy [`Trace`] (merged across
-    /// ranks, `(time, rank)`-sorted) — the compatibility escape hatch and
-    /// the reference path the streaming queries are tested against.
-    /// Memory is `O(trace)`; avoid on large stores.
+    /// Materialize the whole store as a [`Trace`] (merged across ranks,
+    /// `(time, rank)`-sorted) — the load-everything path behind
+    /// [`crate::view_report`] and the reference the streaming queries are
+    /// tested against. Memory is `O(trace)`; avoid on large stores.
     pub fn read_all(&mut self) -> Result<Trace, TraceError> {
         let mut events = Vec::with_capacity(self.events as usize);
         for i in 0..self.index.len() {

@@ -400,7 +400,7 @@ pub fn write_store_from_vt(
     w.finish()
 }
 
-/// Convert an in-memory (legacy) [`Trace`] into a store file.
+/// Write an in-memory [`Trace`] as a store file.
 pub fn write_store_from_trace(
     trace: &Trace,
     path: impl AsRef<Path>,

@@ -17,8 +17,8 @@
 //!   machine=M  ibm | ia32 | test                    (default ibm)
 //!   seed=N     simulation seed                      (default 42)
 //!   policy=P   dynamic | full | full-off | subset | none (default dynamic)
-//!   trace=F    also write the trace to F (`.vgvs` = chunk-indexed
-//!              store, anything else = legacy flat `VGVT`)
+//!   trace=F    also write the trace to F, a chunk-indexed `VGVS`
+//!              store (F must end in `.vgvs`)
 //! ```
 //!
 //! The script file holds Table-1 commands (`insert-file subset`, `start`,
@@ -54,7 +54,7 @@ pub struct CliArgs {
     pub seed: u64,
     /// Instrumentation policy.
     pub policy: Policy,
-    /// Optional trace-file output path.
+    /// Optional `VGVS` store output path (ends in `.vgvs`).
     pub trace: Option<String>,
     /// Overhead budget (percent) for closed-loop adaptive
     /// instrumentation; `None` = no controller.
@@ -86,7 +86,7 @@ usage: dynprof <script|-> <stdout-file|-> <timefile|-> <app> [key=value ...]
   app:      smg98 | sppm | sweep3d | umt98
   options:  cpus=N scale=X machine=ibm|ia32|test seed=N
             policy=dynamic|full|full-off|subset|none
-            trace=FILE (.vgvs = chunk-indexed store, else legacy VGVT)
+            trace=FILE.vgvs (write the trace as a chunk-indexed store)
             rotate=BYTES (roll .vgvs output into FILE.0000.vgvs segments)
             keep=N (with rotate: retain only the newest N segments)
             budget=PCT (adaptive: keep probe overhead under PCT%)
@@ -127,7 +127,14 @@ impl CliArgs {
                 "policy" => {
                     out.policy = Policy::parse(v).ok_or_else(|| format!("unknown policy {v:?}"))?
                 }
-                "trace" => out.trace = Some(v.to_string()),
+                "trace" => {
+                    if !v.ends_with(".vgvs") {
+                        return Err(format!(
+                            "bad trace {v:?} (the trace is a VGVS store; name it *.vgvs)"
+                        ));
+                    }
+                    out.trace = Some(v.to_string());
+                }
                 "budget" => {
                     let pct: f64 = v.parse().map_err(|_| format!("bad budget {v:?}"))?;
                     if pct.is_nan() || pct < 0.0 {
@@ -284,7 +291,7 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
     emit(&args.stdout_file, &out.summary)?;
     emit(&args.timefile, &out.timefile)?;
     if let Some(trace_path) = &args.trace {
-        if trace_path.ends_with(".vgvs") && args.rotate_bytes.is_some() {
+        if args.rotate_bytes.is_some() {
             // Rotating capture: segments sealed at the byte cap, oldest
             // pruned per keep=N; readable as one store via SegmentSet.
             let rotation = dynprof_analysis::store::RotationPolicy {
@@ -309,7 +316,7 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
                 stats.deleted,
                 stats.bytes
             );
-        } else if trace_path.ends_with(".vgvs") {
+        } else {
             // Chunk-indexed store, streamed straight from the trace
             // buffers without materializing the merged event array.
             dynprof_analysis::store::write_store_from_vt(
@@ -318,10 +325,6 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
                 dynprof_analysis::store::StoreOptions::default(),
             )
             .map_err(|e| format!("writing store {trace_path:?}: {e}"))?;
-        } else {
-            let trace = out.report.vt.build_trace();
-            dynprof_analysis::write_trace(&trace, trace_path)
-                .map_err(|e| format!("writing trace {trace_path:?}: {e}"))?;
         }
     }
     Ok(())
@@ -362,6 +365,8 @@ mod tests {
         assert!(CliArgs::parse(&strs(&["a", "b", "c", "smg98", "bogus"])).is_err());
         assert!(CliArgs::parse(&strs(&["a", "b", "c", "smg98", "cpus=x"])).is_err());
         assert!(CliArgs::parse(&strs(&["a", "b", "c", "smg98", "policy=nope"])).is_err());
+        let e = CliArgs::parse(&strs(&["a", "b", "c", "smg98", "trace=run.vgvt"])).unwrap_err();
+        assert!(e.contains(".vgvs"), "{e}");
         let a = CliArgs::parse(&strs(&["a", "b", "c", "smg98", "machine=vax"])).unwrap();
         assert!(a.machine_model().is_err());
     }
@@ -372,7 +377,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let script = dir.join(format!("s-{}.dp", std::process::id()));
         std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
-        let trace = dir.join(format!("t-{}.vgvt", std::process::id()));
+        let trace = dir.join(format!("t-{}.vgvs", std::process::id()));
         let args = CliArgs::parse(&strs(&[
             script.to_str().unwrap(),
             "-",
@@ -380,11 +385,8 @@ mod tests {
             "sweep3d",
             "cpus=2",
             "seed=5",
+            &format!("trace={}", trace.to_str().unwrap()),
         ]))
-        .map(|mut a| {
-            a.trace = Some(trace.to_str().unwrap().to_string());
-            a
-        })
         .unwrap();
         let out = run_cli(&args).unwrap();
         assert!(
@@ -394,7 +396,7 @@ mod tests {
         );
         assert!(out.summary.contains("sweep"));
         assert!(out.timefile.contains("instrument"));
-        // Trace file written and readable.
+        // Store written and readable.
         write_outputs(
             &CliArgs {
                 stdout_file: "-".into(),
@@ -404,8 +406,8 @@ mod tests {
             &out,
         )
         .unwrap();
-        let back = dynprof_analysis::read_trace(&trace).unwrap();
-        assert_eq!(back.program, "sweep3d");
+        let back = dynprof_analysis::store::StoreReader::open(&trace).unwrap();
+        assert_eq!(back.program(), "sweep3d");
         std::fs::remove_file(&script).ok();
         std::fs::remove_file(&trace).ok();
     }
@@ -437,7 +439,7 @@ mod tests {
             &out,
         )
         .unwrap();
-        // The store holds the same events as the legacy trace build.
+        // The store holds the same events as the in-memory trace build.
         let mut r = dynprof_analysis::store::StoreReader::open(&store).unwrap();
         let trace = out.report.vt.build_trace();
         assert_eq!(r.info().events as usize, trace.events.len());

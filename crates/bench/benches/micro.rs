@@ -4,8 +4,9 @@
 //! deactivated probes pay a table lookup, active probes pay timestamp +
 //! event append, dynamic probes add trampoline dispatch. The figure
 //! harnesses *model* those costs on the virtual clock; these benchmarks
-//! *measure* the real Rust implementations in real-clock mode, validating
-//! that the implementation itself exhibits the hierarchy — including the
+//! *measure* the real Rust implementations — host `Instant` around the
+//! measured loop, inside a virtual-time process — validating that the
+//! implementation itself exhibits the hierarchy — including the
 //! observability layer's own hierarchy (a disabled `obs` site costs one
 //! relaxed load + branch).
 //!
@@ -96,20 +97,6 @@ fn bench(name: &str, mut f: impl FnMut(u64) -> Duration) {
     println!("{name:<34} {ns_per_iter:>12.1} ns/iter   ({iters} iters)");
 }
 
-/// Run `f` inside a real-clock simulated process and return its measured
-/// duration (setup excluded).
-fn in_real_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration {
-    let out = Arc::new(Mutex::new(Duration::ZERO));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::real_time(Machine::test_machine());
-    sim.spawn("bench", 0, move |p| {
-        *out2.lock() = f(p);
-    });
-    sim.run();
-    let d = *out.lock();
-    d
-}
-
 fn bench_obs_primitives() {
     // The branch every instrumented layer pays when observation is off:
     // a relaxed atomic load + test. This is the whole disabled-obs cost.
@@ -138,9 +125,8 @@ fn bench_obs_primitives() {
     });
 }
 
-/// Run `f` inside a *virtual*-clock simulated process and return its
-/// measured host duration. Happens-before recording only arms in virtual
-/// mode, so the `check` rows must measure there.
+/// Run `f` inside a simulated process and return the host duration it
+/// measured (setup excluded).
 fn in_virtual_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration {
     let out = Arc::new(Mutex::new(Duration::ZERO));
     let out2 = Arc::clone(&out);
@@ -224,7 +210,7 @@ fn bench_sim_clock() {
 
 fn bench_vt_fast_paths() {
     bench("vt/begin_end_active", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
             vt.init(p, 0);
             let f = vt.funcdef(p, "hot");
@@ -237,7 +223,7 @@ fn bench_vt_fast_paths() {
         })
     });
     bench("vt/begin_end_deactivated", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 1, VtConfig::all_off(), ProbeCosts::power3());
             vt.init(p, 0);
             let f = vt.funcdef(p, "cold");
@@ -252,7 +238,7 @@ fn bench_vt_fast_paths() {
     // Same active path with runtime observation on: the delta against
     // vt/begin_end_active is the cost of live metric updates.
     bench("vt/begin_end_active_obs_on", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             obs::set_enabled(true);
             let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
             vt.init(p, 0);
@@ -271,7 +257,7 @@ fn bench_vt_fast_paths() {
 
 fn bench_image_call() {
     bench("image/call_unprobed", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let mut bld = ImageBuilder::new("b");
             let f = bld.add(FunctionInfo::new("f"));
             let img = bld.build();
@@ -283,7 +269,7 @@ fn bench_image_call() {
         })
     });
     bench("image/call_trampolined_vt", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let mut bld = ImageBuilder::new("b");
             let f = bld.add(FunctionInfo::new("f"));
             let img = bld.build();
@@ -313,7 +299,7 @@ fn bench_image_call() {
 fn paired_counting_fire_ns() -> (f64, f64, f64) {
     let out = Arc::new(Mutex::new((f64::NAN, f64::NAN, f64::INFINITY)));
     let out2 = Arc::clone(&out);
-    let sim = Sim::real_time(Machine::test_machine());
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
     sim.spawn("bench", 0, move |p| {
         let mut bld = ImageBuilder::new("b");
         let f_ir = bld.add(FunctionInfo::new("f_ir"));
@@ -427,40 +413,6 @@ fn bench_verifier() {
         (ratio - 1.0) * 100.0,
         tolerance * 100.0
     );
-}
-
-fn bench_trace_codec() {
-    let trace = {
-        let mut events = Vec::new();
-        for i in 0..10_000u64 {
-            events.push(dynprof_vt::Event::FuncEnter {
-                t: SimTime::from_nanos(i * 100),
-                rank: (i % 64) as u32,
-                thread: 0,
-                func: dynprof_vt::VtFuncId((i % 199) as u32),
-            });
-        }
-        Trace {
-            program: "bench".into(),
-            functions: (0..199).map(|i| format!("fn_{i}")).collect(),
-            events,
-        }
-    };
-    bench("trace/encode_10k_events", |iters| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(trace.encode());
-        }
-        t.elapsed()
-    });
-    let encoded = trace.encode();
-    bench("trace/decode_10k_events", |iters| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(Trace::decode(black_box(encoded.clone())).unwrap());
-        }
-        t.elapsed()
-    });
 }
 
 /// The store's CRC bill: appending a 10k-event trace through the full
@@ -660,7 +612,7 @@ fn bench_config_resolve() {
 }
 
 fn bench_des_engine() {
-    // Virtual-mode event throughput: two processes ping-pong through a
+    // Event throughput: two processes ping-pong through a
     // channel; measures scheduler handoff cost per event.
     bench("des/pingpong_1k", |iters| {
         let t = Instant::now();
@@ -751,7 +703,7 @@ fn bench_runtimes() {
     // the per-epoch bookkeeping VT_confsync pays when an overhead budget
     // is set (scan every rank's stat table, compute deltas, score, sort).
     bench("controller/decide_64ranks", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 64, VtConfig::all_on(), ProbeCosts::power3());
             for r in 0..64 {
                 vt.init(p, r);
@@ -1042,7 +994,6 @@ fn main() {
     bench_vt_fast_paths();
     bench_image_call();
     bench_verifier();
-    bench_trace_codec();
     bench_store_crc();
     bench_store_query();
     bench_config_resolve();

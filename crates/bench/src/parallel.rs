@@ -1,4 +1,4 @@
-//! A worker-thread pool for fanning out independent virtual-mode runs.
+//! A worker-thread pool for fanning out independent simulation runs.
 //!
 //! Every figure run owns its own seeded discrete-event engine, so runs
 //! are embarrassingly parallel: the pool hands jobs to workers through an

@@ -45,7 +45,7 @@ pub struct Snippet {
     /// The instrumentation code itself.
     pub code: Arc<dyn Fn(&ProbeCtx<'_>) + Send + Sync>,
     /// Simulated cost of one execution of the snippet body (the closure's
-    /// real cost is measured separately in real-clock mode).
+    /// host cost is measured separately by the micro-benchmarks).
     pub cost: SimTime,
     /// The typed IR this snippet was compiled from, when it was built via
     /// [`SnippetProgram::compile`]. Install-time verification

@@ -173,12 +173,10 @@ mod tests {
     #[test]
     fn critical_serializes() {
         // A non-atomic read-modify-write under critical must not lose
-        // updates even in real-thread mode.
-        let sim = Sim::real_time(Machine::test_machine());
+        // updates while the team threads interleave in virtual time.
         let value = Arc::new(Mutex::new(0u64));
         let v2 = Arc::clone(&value);
-        sim.spawn("app", 0, move |p| {
-            let rt = OmpRuntime::new(p, "app", 4, vec![]);
+        run_omp(4, move |p, rt| {
             rt.parallel(p, "c", |ctx| {
                 for _ in 0..100 {
                     ctx.critical(|| {
@@ -186,11 +184,10 @@ mod tests {
                         let old = *g;
                         *g = old + 1;
                     });
+                    ctx.yield_point();
                 }
             });
-            rt.shutdown(p);
         });
-        sim.run();
         assert_eq!(*value.lock(), 400);
     }
 

@@ -9,9 +9,9 @@
 //! entire argument — `Dynamic` ≈ `None` ≪ `Full-Off` ≈ `Subset` ≪ `Full` —
 //! follows from this hierarchy multiplied by per-function call rates.
 //!
-//! In the simulator's virtual-clock mode these costs are charged to the
-//! virtual clock; in real-clock mode the actual Rust implementations run
-//! and criterion measures them directly (see `dynprof-bench`).
+//! The simulator charges these costs to the virtual clock; the
+//! micro-benchmarks in `dynprof-bench` measure the host cost of the actual
+//! Rust implementations.
 
 use crate::time::SimTime;
 

@@ -1,8 +1,8 @@
 //! The simulation engine: a deterministic sequential discrete-event
-//! scheduler with coroutine- or thread-backed processes, plus a
-//! real-time mode.
+//! scheduler with coroutine- or thread-backed processes, on a virtual
+//! clock.
 //!
-//! # Virtual mode
+//! # Execution model
 //!
 //! Exactly one simulated process executes at a time. A process blocks
 //! whenever it performs a simulator operation ([`Proc::sleep`], a
@@ -36,14 +36,6 @@
 //! cross-node frontier heap), so a conservative parallel scheduler with
 //! topology-derived lookahead can partition nodes across workers later
 //! without changing the event order the sequential backends produce.
-//!
-//! # Real mode
-//!
-//! Processes run concurrently on real threads; `now()` reads a monotonic
-//! wall clock and `advance` is a no-op (real work takes real time).
-//! Synchronization primitives use real mutexes/condvars. This mode is used
-//! by the criterion micro-benchmarks to measure the genuine cost of the
-//! instrumentation fast paths.
 
 use core::ffi::c_void;
 use std::cell::UnsafeCell;
@@ -52,7 +44,6 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use dynprof_obs as obs;
 use parking_lot::{Condvar, Mutex};
@@ -66,17 +57,7 @@ use crate::topology::Machine;
 /// Identifier of a simulated process (dense, starting at 0).
 pub type Pid = usize;
 
-/// Which clock the simulation runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Deterministic discrete-event virtual time.
-    Virtual,
-    /// Wall-clock time with truly concurrent threads.
-    Real,
-}
-
-/// Which mechanism carries the simulated processes of a virtual-time
-/// simulation.
+/// Which mechanism carries the simulated processes of a simulation.
 ///
 /// Both backends share the dispatch algorithm (one function, one lock
 /// discipline), so event order, dispatch logs, figure output, and every
@@ -170,7 +151,7 @@ enum CoExit {
 enum PState {
     /// Not currently running; resumed by a queued wake event.
     Blocked,
-    /// The single currently-executing process (virtual mode).
+    /// The single currently-executing process.
     Running,
     /// Finished.
     Done,
@@ -330,7 +311,7 @@ type DispatchEntries = Arc<Mutex<Vec<(Pid, SimTime)>>>;
 
 struct EngineInner {
     procs: Vec<ProcSlot>,
-    /// Currently running pid (virtual mode); `None` while a dispatch is
+    /// Currently running pid; `None` while a dispatch is
     /// being chosen. `None` is never observable outside the lock during a
     /// successful handoff: the yielder clears and re-fills it under one
     /// hold, which is what makes who-dispatches deterministic.
@@ -414,9 +395,7 @@ struct CoPoolInner {
 }
 
 pub(crate) struct Engine {
-    mode: ClockMode,
-    /// Process carrier in virtual mode; always `Threads` in real mode
-    /// (real concurrency is the point there).
+    /// Process carrier (after platform fallback).
     backend: ProcBackend,
     inner: Mutex<EngineInner>,
     heaps: Mutex<Heaps>,
@@ -438,7 +417,6 @@ pub(crate) struct Engine {
     /// this catches the successor's handoff without any futex traffic.
     /// Zero on single-core hosts (spinning would starve the runner).
     spin_limit: u32,
-    epoch: Instant,
     machine: Machine,
     seed: u64,
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -450,17 +428,16 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    fn new(mode: ClockMode, machine: Machine, seed: u64, backend: ProcBackend) -> Engine {
-        // Real mode needs real concurrency; coroutine requests degrade
-        // to threads on platforms without the runtime.
-        let backend = if mode == ClockMode::Real || !co::supported() {
-            ProcBackend::Threads
-        } else {
+    fn new(machine: Machine, seed: u64, backend: ProcBackend) -> Engine {
+        // Coroutine requests degrade to threads on platforms without the
+        // runtime.
+        let backend = if co::supported() {
             backend
+        } else {
+            ProcBackend::Threads
         };
         let nodes = machine.nodes;
         Engine {
-            mode,
             backend,
             inner: Mutex::new(EngineInner {
                 procs: Vec::new(),
@@ -499,7 +476,6 @@ impl Engine {
                 Ok(n) if n.get() >= 2 => 1200,
                 _ => 0,
             },
-            epoch: Instant::now(),
             machine,
             seed,
             handles: Mutex::new(Vec::new()),
@@ -508,11 +484,7 @@ impl Engine {
         }
     }
 
-    fn real_now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// Push a wake event for `pid` at absolute time `at` (virtual mode).
+    /// Push a wake event for `pid` at absolute time `at`.
     ///
     /// Producers only ever run on the currently-executing process (or on
     /// the spawning thread before `run()` starts), so no dispatcher can be
@@ -520,13 +492,11 @@ impl Engine {
     /// next yield point. Hence no condvar signalling here — the heaps
     /// mutex is the entire cost.
     pub(crate) fn schedule(&self, pid: Pid, at: SimTime) {
-        debug_assert_eq!(self.mode, ClockMode::Virtual);
         self.heaps.lock().push_wake(at, pid);
     }
 
     /// Arm a deadline timer waking `pid` at `at` unless cancelled first.
     pub(crate) fn schedule_timer(&self, pid: Pid, at: SimTime) {
-        debug_assert_eq!(self.mode, ClockMode::Virtual);
         let mut h = self.heaps.lock();
         h.seq += 1;
         let seq = h.seq;
@@ -642,7 +612,6 @@ impl Engine {
     /// stack swap on `coroutine` — the dispatch decision is this shared
     /// code either way.
     pub(crate) fn yield_and_wait(&self, pid: Pid) {
-        debug_assert_eq!(self.mode, ClockMode::Virtual);
         match self.backend {
             ProcBackend::Threads => self.yield_and_wait_threads(pid),
             ProcBackend::Coroutine => self.yield_and_wait_co(pid),
@@ -960,9 +929,7 @@ impl Engine {
             let mut h = self.heaps.lock();
             h.timer_gens.push(0);
             h.node_of.push(node);
-            if self.mode == ClockMode::Virtual {
-                h.push_wake(start, pid);
-            }
+            h.push_wake(start, pid);
         }
         if let Some(boot) = boot {
             // SAFETY: serialized by the `inner` hold above (pre-run
@@ -972,38 +939,35 @@ impl Engine {
         pid
     }
 
-    /// Called by a process thread when its body returns. In virtual mode
-    /// the finishing process dispatches its successor directly (same
-    /// single-hold argument as [`Engine::yield_and_wait`]); the `run()`
-    /// thread is only signalled when everything is done or nothing is
-    /// runnable.
+    /// Called by a process thread when its body returns. The finishing
+    /// process dispatches its successor directly (same single-hold
+    /// argument as [`Engine::yield_and_wait`]); the `run()` thread is only
+    /// signalled when everything is done or nothing is runnable.
     fn finish(&self, pid: Pid) {
         let mut g = self.inner.lock();
         g.procs[pid].state = PState::Done;
         g.live -= 1;
         let clock = g.procs[pid].clock.get();
         g.horizon = g.horizon.max(clock);
-        if self.mode == ClockMode::Virtual {
-            debug_assert_eq!(g.current, Some(pid));
-            g.current = None;
-            self.current_word.store(usize::MAX, Ordering::Relaxed);
-            if g.live == 0 {
-                self.sched_cv.notify_one();
-            } else {
-                let successor = match self.dispatch_next(&mut g) {
-                    Some((_, t)) => {
-                        g.direct_handoffs += 1;
-                        t
-                    }
-                    None => {
-                        self.sched_cv.notify_one();
-                        None
-                    }
-                };
-                drop(g);
-                if let Some(t) = successor {
-                    t.unpark();
+        debug_assert_eq!(g.current, Some(pid));
+        g.current = None;
+        self.current_word.store(usize::MAX, Ordering::Relaxed);
+        if g.live == 0 {
+            self.sched_cv.notify_one();
+        } else {
+            let successor = match self.dispatch_next(&mut g) {
+                Some((_, t)) => {
+                    g.direct_handoffs += 1;
+                    t
                 }
+                None => {
+                    self.sched_cv.notify_one();
+                    None
+                }
+            };
+            drop(g);
+            if let Some(t) = successor {
+                t.unpark();
             }
         }
     }
@@ -1032,9 +996,6 @@ impl Engine {
     /// process, so `pid` is either itself or blocked: the cell's single
     /// writer either way.
     pub(crate) fn lift_clock(&self, pid: Pid, t: SimTime) {
-        if self.mode == ClockMode::Real {
-            return;
-        }
         self.inner.lock().procs[pid].clock.lift(t);
     }
 }
@@ -1045,47 +1006,29 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation on `machine` with the given clock mode and
-    /// seed, on the default [`ProcBackend`] (see
+    /// Create a deterministic virtual-time simulation on `machine` with
+    /// the given seed, on the default [`ProcBackend`] (see
     /// [`ProcBackend::default_backend`]).
     ///
     /// If a process-global fault spec is installed
-    /// ([`crate::fault::set_global_spec`]) and the mode is virtual, the
-    /// simulation instantiates its own deterministic [`FaultPlan`] from it.
-    pub fn new(mode: ClockMode, machine: Machine, seed: u64) -> Sim {
-        Sim::with_backend(mode, machine, seed, ProcBackend::default_backend())
+    /// ([`crate::fault::set_global_spec`]), the simulation instantiates
+    /// its own deterministic [`FaultPlan`] from it.
+    pub fn virtual_time(machine: Machine, seed: u64) -> Sim {
+        Sim::virtual_time_with_backend(machine, seed, ProcBackend::default_backend())
     }
 
-    /// [`Sim::new`] with an explicit process backend. Real mode always
-    /// uses threads (real concurrency is its purpose); a coroutine
-    /// request on a platform without the runtime degrades to threads.
-    pub fn with_backend(mode: ClockMode, machine: Machine, seed: u64, backend: ProcBackend) -> Sim {
+    /// [`Sim::virtual_time`] with an explicit process backend
+    /// (differential tests and benchmarks). A coroutine request on a
+    /// platform without the runtime degrades to threads.
+    pub fn virtual_time_with_backend(machine: Machine, seed: u64, backend: ProcBackend) -> Sim {
         let sim = Sim {
-            eng: Arc::new(Engine::new(mode, machine, seed, backend)),
+            eng: Arc::new(Engine::new(machine, seed, backend)),
         };
-        if mode == ClockMode::Virtual {
-            if let Some(spec) = crate::fault::global_spec() {
-                let plan = FaultPlan::new(&spec, sim.machine());
-                let _ = sim.eng.faults.set(plan);
-            }
+        if let Some(spec) = crate::fault::global_spec() {
+            let plan = FaultPlan::new(&spec, sim.machine());
+            let _ = sim.eng.faults.set(plan);
         }
         sim
-    }
-
-    /// Shorthand: deterministic virtual-time simulation.
-    pub fn virtual_time(machine: Machine, seed: u64) -> Sim {
-        Sim::new(ClockMode::Virtual, machine, seed)
-    }
-
-    /// Shorthand: deterministic virtual-time simulation on an explicit
-    /// process backend (differential tests and benchmarks).
-    pub fn virtual_time_with_backend(machine: Machine, seed: u64, backend: ProcBackend) -> Sim {
-        Sim::with_backend(ClockMode::Virtual, machine, seed, backend)
-    }
-
-    /// Shorthand: real-time simulation (for measurement).
-    pub fn real_time(machine: Machine) -> Sim {
-        Sim::new(ClockMode::Real, machine, 0)
     }
 
     /// The process backend actually in force (after platform fallback).
@@ -1096,11 +1039,6 @@ impl Sim {
     /// The machine this simulation models.
     pub fn machine(&self) -> &Machine {
         &self.eng.machine
-    }
-
-    /// The clock mode.
-    pub fn mode(&self) -> ClockMode {
-        self.eng.mode
     }
 
     /// Install a fault plan for this simulation (at most once; before the
@@ -1130,8 +1068,8 @@ impl Sim {
         crate::hb::CheckHandle::new(Arc::clone(&self.eng.hb))
     }
 
-    /// Wake events dispatched so far (virtual mode; a throughput metric
-    /// for harnesses sizing their workloads).
+    /// Wake events dispatched so far (a throughput metric for harnesses
+    /// sizing their workloads).
     pub fn events_dispatched(&self) -> u64 {
         self.eng.inner.lock().dispatched
     }
@@ -1156,8 +1094,8 @@ impl Sim {
         DispatchLog { entries }
     }
 
-    /// Spawn a process named `name` on `node`, starting at time `start`
-    /// (virtual mode; ignored in real mode). Returns its pid.
+    /// Spawn a process named `name` on `node`, starting at time `start`.
+    /// Returns its pid.
     ///
     /// Panics if `node` is out of range for the machine.
     pub fn spawn_at(
@@ -1177,7 +1115,7 @@ impl Sim {
         let eng = Arc::clone(&self.eng);
         let clock = Arc::new(ClockCell::new(start));
         let proc_clock = Arc::clone(&clock);
-        if eng.mode == ClockMode::Virtual && eng.backend == ProcBackend::Coroutine {
+        if eng.backend == ProcBackend::Coroutine {
             // Coroutine backend: no thread, no handshake. The body is
             // wrapped in a boot closure that catches every unwind,
             // classifies the exit, drops everything it owns (including
@@ -1229,20 +1167,18 @@ impl Sim {
                     clock: proc_clock,
                     rng: Mutex::new(SimRng::for_process(eng2.seed, pid)),
                 };
-                if eng2.mode == ClockMode::Virtual {
-                    // Wait to be dispatched our start event (no spin: the
-                    // gap between spawn and first dispatch is unbounded).
-                    while eng2.current_word.load(Ordering::Acquire) != pid {
-                        if eng2.panicked_word.load(Ordering::Acquire) {
-                            panic!("simulation aborted before process start");
-                        }
-                        std::thread::park();
+                // Wait to be dispatched our start event (no spin: the gap
+                // between spawn and first dispatch is unbounded).
+                while eng2.current_word.load(Ordering::Acquire) != pid {
+                    if eng2.panicked_word.load(Ordering::Acquire) {
+                        panic!("simulation aborted before process start");
                     }
-                    let mut g = eng2.inner.lock();
-                    debug_assert_eq!(g.current, Some(pid));
-                    g.procs[pid].state = PState::Running;
-                    drop(g);
+                    std::thread::park();
                 }
+                let mut g = eng2.inner.lock();
+                debug_assert_eq!(g.current, Some(pid));
+                g.procs[pid].state = PState::Running;
+                drop(g);
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&proc_)));
                 match res {
                     Ok(()) => eng2.finish(pid),
@@ -1275,32 +1211,17 @@ impl Sim {
     /// Run the simulation until all processes finish. Returns the makespan
     /// (latest clock reached by any process).
     ///
-    /// In virtual mode this drives the event loop on the calling thread.
-    /// Panics (after unblocking all threads) if the simulation deadlocks —
-    /// i.e. live processes remain but no wake event is pending.
+    /// This drives the event loop on the calling thread. Panics (after
+    /// unblocking all threads) if the simulation deadlocks — i.e. live
+    /// processes remain but no wake event is pending.
     pub fn run(self) -> SimTime {
-        match self.eng.mode {
-            ClockMode::Real => {
-                let handles = std::mem::take(&mut *self.eng.handles.lock());
-                let mut first_panic = None;
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                if let Some(payload) = first_panic {
-                    std::panic::resume_unwind(payload);
-                }
-                self.eng.real_now()
-            }
-            ClockMode::Virtual => match self.eng.backend {
-                ProcBackend::Threads => self.run_virtual_threads(),
-                ProcBackend::Coroutine => self.run_virtual_co(),
-            },
+        match self.eng.backend {
+            ProcBackend::Threads => self.run_virtual_threads(),
+            ProcBackend::Coroutine => self.run_virtual_co(),
         }
     }
 
-    /// Virtual-mode run loop, threads backend.
+    /// Run loop, threads backend.
     fn run_virtual_threads(self) -> SimTime {
         {
             {
@@ -1399,7 +1320,7 @@ impl Sim {
         }
     }
 
-    /// Virtual-mode run loop, coroutine backend. This thread IS the
+    /// Run loop, coroutine backend. This thread IS the
     /// worker pool: it performs the startup dispatch by switching onto
     /// the first coroutine's stack, and from then on every handoff is a
     /// userspace stack swap between process stacks. Control only comes
@@ -1473,7 +1394,7 @@ impl Sim {
     }
 
     /// Flush the per-run throughput counters and gauges. Called once at
-    /// the end of a successful virtual run, under the `inner` lock (the
+    /// the end of a successful run, under the `inner` lock (the
     /// `heaps` lock nests inside — the one allowed order).
     fn flush_obs(eng: &Engine, g: &EngineInner) {
         if obs::enabled() {
@@ -1490,7 +1411,6 @@ impl Sim {
             obs::counter("sim.timers_cancelled_eagerly").add(timers_cancelled);
             obs::gauge("sim.queue_depth_high_water").set(queue_hw as u64);
             obs::gauge("sim.virtual_horizon_ns").set(g.horizon.as_nanos());
-            obs::gauge("sim.real_elapsed_ns").set(eng.epoch.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -1574,31 +1494,21 @@ impl Proc {
         &self.eng.machine
     }
 
-    /// The clock mode.
-    pub fn mode(&self) -> ClockMode {
-        self.eng.mode
-    }
-
-    /// Current local time: one relaxed load of the clock cell in virtual
-    /// mode, the wall clock in real mode.
+    /// Current local time: one relaxed load of the clock cell.
     #[inline]
     pub fn now(&self) -> SimTime {
-        match self.eng.mode {
-            ClockMode::Virtual => self.clock.get(),
-            ClockMode::Real => self.eng.real_now(),
-        }
+        self.clock.get()
     }
 
     /// Charge `dt` of simulated work to this process's clock.
     ///
-    /// In virtual mode the charge is applied in place — no rescheduling
-    /// occurs, so a long `advance` does not release the CPU model-wise
-    /// (processes are assumed pinned to dedicated CPUs, as on the paper's
-    /// batch system). A fault plan's per-node slowdown scales the charge.
-    /// In real mode this is a no-op: real work takes real time.
+    /// The charge is applied in place — no rescheduling occurs, so a long
+    /// `advance` does not release the CPU model-wise (processes are
+    /// assumed pinned to dedicated CPUs, as on the paper's batch system).
+    /// A fault plan's per-node slowdown scales the charge.
     #[inline]
     pub fn advance(&self, dt: SimTime) {
-        if self.eng.mode == ClockMode::Real || dt == SimTime::ZERO {
+        if dt == SimTime::ZERO {
             return;
         }
         debug_assert_eq!(
@@ -1614,8 +1524,7 @@ impl Proc {
     }
 
     /// Block until another process (or a primitive) schedules a wake for
-    /// this pid. Returns the resumption time. Virtual mode only; the sync
-    /// primitives never call this in real mode.
+    /// this pid. Returns the resumption time.
     pub(crate) fn block(&self) -> SimTime {
         self.eng.yield_and_wait(self.pid);
         self.clock.get()
@@ -1642,7 +1551,7 @@ impl Proc {
     /// call away entirely when the `check` feature is off).
     #[inline(always)]
     pub(crate) fn hb_on(&self) -> bool {
-        self.eng.mode == ClockMode::Virtual && self.eng.hb.is_on()
+        self.eng.hb.is_on()
     }
 
     /// This simulation's happens-before recorder.
@@ -1653,18 +1562,8 @@ impl Proc {
     /// Schedule a wake for this process at absolute time `at`, then block.
     /// Used to model timed waits (polling intervals, timeouts).
     pub fn sleep_until(&self, at: SimTime) {
-        match self.eng.mode {
-            ClockMode::Virtual => {
-                self.eng.schedule(self.pid, at.max(self.now()));
-                self.block();
-            }
-            ClockMode::Real => {
-                let now = self.now();
-                if at > now {
-                    std::thread::sleep(std::time::Duration::from_nanos((at - now).as_nanos()));
-                }
-            }
-        }
+        self.eng.schedule(self.pid, at.max(self.now()));
+        self.block();
     }
 
     /// Sleep for a relative duration.
@@ -1814,25 +1713,6 @@ mod tests {
             p.sleep(SimTime::from_secs(1));
         });
         sim.run();
-    }
-
-    #[test]
-    fn real_mode_runs_concurrently() {
-        let sim = Sim::real_time(machine());
-        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        sim.spawn("setter", 0, move |_| {
-            f2.store(true, std::sync::atomic::Ordering::Release);
-        });
-        let f3 = Arc::clone(&flag);
-        sim.spawn("checker", 1, move |_| {
-            while !f3.load(std::sync::atomic::Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-        });
-        let t = sim.run();
-        assert!(t > SimTime::ZERO);
-        assert!(flag.load(std::sync::atomic::Ordering::Acquire));
     }
 
     #[test]

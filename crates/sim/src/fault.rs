@@ -178,7 +178,7 @@ impl FaultSpec {
 
 static GLOBAL_SPEC: Mutex<Option<FaultSpec>> = Mutex::new(None);
 
-/// Install (or clear) the process-global fault spec. Every virtual-mode
+/// Install (or clear) the process-global fault spec. Every
 /// [`crate::Sim`] constructed afterwards instantiates its own
 /// deterministic [`FaultPlan`] from it — this is how `--faults` on a
 /// harness binary reaches simulations built deep inside library code.
@@ -216,7 +216,7 @@ impl LinkDecision {
 /// per-message decision stream.
 pub struct FaultPlan {
     spec: FaultSpec,
-    /// Per-message decisions (virtual mode runs one process at a time,
+    /// Per-message decisions (the engine runs one process at a time,
     /// so the draw order — and thus the run — is deterministic).
     link_rng: Mutex<SimRng>,
     /// Work multiplier per node, permille. 1000 = unaffected.

@@ -1,12 +1,13 @@
-//! Measure the chunk-indexed trace store against the load-everything
-//! path: peak RSS and query latency for `top` (full-trace profile) and
-//! `slice` (short window), on a legacy `.vgvt` flat file vs a `.vgvs`
-//! store of the same events. Feeds the EXPERIMENTS.md "Trace store"
-//! table; run each mode in a fresh process so `VmHWM` isolates one path.
+//! Measure the chunk-indexed trace store's streaming queries against the
+//! load-everything path: peak RSS and query latency for `top` (full-trace
+//! profile) and `slice` (short window), either streamed from a `.vgvs`
+//! store or run over the whole store loaded into memory with
+//! `StoreReader::read_all`. Feeds the EXPERIMENTS.md "Trace store" table;
+//! run each mode in a fresh process so `VmHWM` isolates one path.
 //!
 //! ```console
 //! $ cargo run --release --example store_bench -- gen 1000 40 42 /tmp/synth
-//! $ cargo run --release --example store_bench -- legacy /tmp/synth.vgvt <t0ns> <t1ns>
+//! $ cargo run --release --example store_bench -- inmem /tmp/synth.vgvs <t0ns> <t1ns>
 //! $ cargo run --release --example store_bench -- stream /tmp/synth.vgvs <t0ns> <t1ns>
 //! $ cargo run --release --example store_bench -- salvage /tmp/synth.vgvs
 //! ```
@@ -19,8 +20,7 @@ use std::time::Instant;
 
 use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
 use dynprof::analysis::{
-    read_trace, slice_report, top_report, write_trace, Profile, ProfileOptions, TimelineBuilder,
-    TimelineOptions,
+    slice_report, top_report, Profile, ProfileOptions, TimelineBuilder, TimelineOptions,
 };
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
@@ -101,7 +101,7 @@ fn synth_trace(seed: u64, ranks: u32, steps: u64) -> Trace {
 fn usage() -> ! {
     eprintln!(
         "usage: store_bench gen <ranks> <steps> <seed> <base-path>\n\
-         \x20      store_bench legacy <trace.vgvt> <t0ns> <t1ns>\n\
+         \x20      store_bench inmem <store.vgvs> <t0ns> <t1ns>\n\
          \x20      store_bench stream <store.vgvs> <t0ns> <t1ns>\n\
          \x20      store_bench salvage <store.vgvs>"
     );
@@ -120,36 +120,34 @@ fn main() {
                 ranks.parse().unwrap(),
                 steps.parse().unwrap(),
             );
-            let vgvt = format!("{base}.vgvt");
             let vgvs = format!("{base}.vgvs");
-            let legacy_bytes = write_trace(&trace, &vgvt).unwrap();
             let stats =
                 write_store_from_trace(&trace, &vgvs, StoreOptions { chunk_events: 256 }).unwrap();
             let (lo, hi) = trace.events.iter().fold((u64::MAX, 0), |(lo, hi), e| {
                 (lo.min(e.time().as_nanos()), hi.max(e.time().as_nanos()))
             });
             println!(
-                "gen: {} events, {} ranks | {vgvt}: {legacy_bytes} bytes | {vgvs}: {} bytes in {} chunks | span {lo}..{hi} ns",
+                "gen: {} events, {} ranks | {vgvs}: {} bytes in {} chunks | span {lo}..{hi} ns",
                 trace.events.len(),
                 ranks,
                 stats.bytes,
                 stats.chunks,
             );
         }
-        Some("legacy") => {
+        Some("inmem") => {
             let [_, path, t0, t1] = &args[..] else {
                 usage()
             };
             let (t0, t1): (u64, u64) = (t0.parse().unwrap(), t1.parse().unwrap());
             let start = Instant::now();
-            let trace = read_trace(path).unwrap();
+            let trace = StoreReader::open(path).unwrap().read_all().unwrap();
             let load = start.elapsed();
 
             let start = Instant::now();
             let profile = Profile::from_trace_opts(&trace, ProfileOptions::default());
             let top = start.elapsed();
 
-            // The legacy slice still has to scan (and hold) every event.
+            // The in-memory slice still has to scan (and hold) every event.
             let start = Instant::now();
             let mut tl = TimelineBuilder::new(
                 &trace.program,
@@ -167,7 +165,7 @@ fn main() {
             let slice_t = start.elapsed();
 
             println!(
-                "legacy: load {:.1} ms | top {:.1} ms ({} functions) | slice {:.1} ms ({} rows) | peak RSS {} kB",
+                "inmem: load {:.1} ms | top {:.1} ms ({} functions) | slice {:.1} ms ({} rows) | peak RSS {} kB",
                 load.as_secs_f64() * 1e3,
                 top.as_secs_f64() * 1e3,
                 profile.hot_functions().len(),

@@ -10,7 +10,7 @@
 //! match the salvaged view byte-for-byte.
 
 use std::io::Write as _;
-use std::sync::Mutex;
+use std::sync::RwLock;
 
 use dynprof::analysis::store::{
     fsck, repair, write_store_from_trace, EventSource, FaultScript, FaultyFile, FooterState,
@@ -23,9 +23,12 @@ use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
 
-/// The obs registry is process-global; tests that flip the recording
-/// flag must not overlap each other.
-static OBS_GATE: Mutex<()> = Mutex::new(());
+/// The obs registry is process-global and recording is gated on a global
+/// flag, so the test that enables observation must not overlap any other
+/// test in this binary: their degraded reads would land in its counters.
+/// Tests that write or read a store take `read()`; the obs test takes
+/// `write()`.
+static OBS_GATE: RwLock<()> = RwLock::new(());
 
 /// v2 on-disk chunk header size (rank, count, enc_len, crc, min_t,
 /// max_t, max_end) — the bound `offset + CHUNK_HDR + enc_len` is a
@@ -138,6 +141,7 @@ fn expected_recovery(reference: &mut StoreReader, file_len: u64) -> (usize, u64,
 /// fully-flushed chunks actually contain.
 #[test]
 fn every_prefix_fails_typed_and_salvage_never_fabricates() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(7, 2, 30);
     let path = tmp("prefix-ref");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 8 }).unwrap();
@@ -196,6 +200,7 @@ fn every_prefix_fails_typed_and_salvage_never_fabricates() {
 /// behind, and the partial file must salvage.
 #[test]
 fn writer_surfaces_deferred_io_error_and_partial_file_salvages() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(13, 2, 60);
     let path = tmp("deferred-io");
     let (finished, _) = faulty_capture(
@@ -223,6 +228,7 @@ fn writer_surfaces_deferred_io_error_and_partial_file_salvages() {
 /// `write_all` retries, `finish()` succeeds, and the store is complete.
 #[test]
 fn short_writes_are_retried_losslessly() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(17, 2, 40);
     let path = tmp("short-write");
     let (finished, _) = faulty_capture(
@@ -245,6 +251,7 @@ fn short_writes_are_retried_losslessly() {
 /// `open` accepts whose queries match the salvaged view byte-for-byte.
 #[test]
 fn chaos_matrix_salvage_recovers_every_flushed_chunk() {
+    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         let trace = synth_trace(seed, 3, 50);
         let opts = StoreOptions { chunk_events: 16 };
@@ -337,6 +344,7 @@ fn chaos_matrix_salvage_recovers_every_flushed_chunk() {
 /// and the repaired store re-opens and re-queries.
 #[test]
 fn fsck_repairs_all_four_corruption_fixtures() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(29, 3, 40);
     let src = tmp("fsck-src");
     write_store_from_trace(&trace, &src, StoreOptions { chunk_events: 16 }).unwrap();
@@ -412,6 +420,7 @@ fn fsck_repairs_all_four_corruption_fixtures() {
 /// returns exactly what one monolithic store would.
 #[test]
 fn rotation_produces_segments_that_query_as_one_store() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(31, 3, 60);
     let base = tmp("rot");
     let mut w = RotatingWriter::create(
@@ -458,6 +467,7 @@ fn rotation_produces_segments_that_query_as_one_store() {
 /// proceeds, and discovery tolerates the resulting leading gap.
 #[test]
 fn retention_prunes_oldest_segments() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(33, 2, 80);
     let base = tmp("keep");
     let mut w = RotatingWriter::create(
@@ -496,6 +506,7 @@ fn retention_prunes_oldest_segments() {
 /// footers, so tearing the open one loses nothing that was rotated out.
 #[test]
 fn crash_loses_only_the_newest_segments_tail() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(35, 2, 80);
     let base = tmp("crash-seg");
     let mut w = RotatingWriter::create(
@@ -565,7 +576,7 @@ fn crash_loses_only_the_newest_segments_tail() {
 /// `segments_rotated` on rotation.
 #[test]
 fn obs_counters_cover_salvage_corruption_and_rotation() {
-    let _gate = OBS_GATE.lock().unwrap();
+    let _g = OBS_GATE.write().unwrap();
     obs::reset();
     obs::set_enabled(true);
 

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
 use dynprof::analysis::{render, TimelineBuilder, TimelineOptions};
 use dynprof::dpcl::{BackoffSchedule, DpclClient, DpclSystem};
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
@@ -43,7 +44,7 @@ fn arb_event(r: &mut SimRng) -> Event {
     let rank = r.next_u64() as u32;
     let thread = r.next_u64() as u16;
     let func = VtFuncId(r.next_u64() as u32);
-    match r.gen_index(8) {
+    match r.gen_index(10) {
         0 => Event::FuncEnter {
             t,
             rank,
@@ -93,6 +94,17 @@ fn arb_event(r: &mut SimRng) -> Event {
             count: r.gen_range_u64(1..=1 << 40),
             span: SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
         },
+        7 => Event::OmpJoin {
+            t,
+            rank,
+            region: r.next_u64() as u32,
+            team: thread,
+        },
+        8 => Event::Suspended {
+            t,
+            t_end: t + SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
+            rank,
+        },
         _ => Event::ConfSync {
             t,
             rank,
@@ -101,9 +113,13 @@ fn arb_event(r: &mut SimRng) -> Event {
     }
 }
 
-/// Binary trace encoding round-trips for arbitrary event sequences.
+/// A `VGVS` store round-trips arbitrary event sequences of every kind:
+/// `read_all` returns the writer's input in stable `(time, rank)` order.
 #[test]
 fn trace_encode_decode_round_trip() {
+    let dir = std::env::temp_dir().join("dynprof-props");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("round-trip-{}.vgvs", std::process::id()));
     let mut r = rng(1);
     for _ in 0..200 {
         let trace = Trace {
@@ -115,9 +131,16 @@ fn trace_encode_decode_round_trip() {
             functions: (0..r.gen_index(20)).map(|_| ident(&mut r, 1, 40)).collect(),
             events: (0..r.gen_index(200)).map(|_| arb_event(&mut r)).collect(),
         };
-        let decoded = Trace::decode(trace.encode()).expect("decode");
-        assert_eq!(decoded, trace);
+        let chunk_events = 1 + r.gen_index(64);
+        write_store_from_trace(&trace, &path, StoreOptions { chunk_events }).expect("write");
+        let decoded = StoreReader::open(&path)
+            .and_then(|mut s| s.read_all())
+            .expect("read");
+        let mut expected = trace;
+        expected.events.sort_by_key(|e| (e.time(), e.rank()));
+        assert_eq!(decoded, expected);
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// A multi-rank trace with OpenMP teams, rank-major (the order store

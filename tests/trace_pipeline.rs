@@ -1,6 +1,7 @@
 //! The full data path: instrumented run → trace → file → analysis.
 
-use dynprof::analysis::{read_trace, render, trace_volume, write_trace, Profile, TimelineOptions};
+use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
+use dynprof::analysis::{render, trace_volume, Profile, TimelineOptions};
 use dynprof::apps::test_app;
 use dynprof::core::{run_session, SessionConfig};
 use dynprof::sim::Machine;
@@ -33,9 +34,9 @@ fn trace_survives_disk_round_trip() {
     let (trace, _) = traced_run("sppm", 2, Policy::Subset);
     let dir = std::env::temp_dir().join("dynprof-pipeline");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("sppm-{}.vgvt", std::process::id()));
-    write_trace(&trace, &path).unwrap();
-    let back = read_trace(&path).unwrap();
+    let path = dir.join(format!("sppm-{}.vgvs", std::process::id()));
+    write_store_from_trace(&trace, &path, StoreOptions::default()).unwrap();
+    let back = StoreReader::open(&path).unwrap().read_all().unwrap();
     assert_eq!(back, trace);
     std::fs::remove_file(&path).ok();
 }

@@ -6,20 +6,25 @@
 //! Goldens live in `tests/golden/`; regenerate intentional changes with
 //! `UPDATE_GOLDENS=1 cargo test --test trace_store golden_`.
 
-use std::sync::Mutex;
+use std::sync::RwLock;
 
 use dynprof::analysis::store::{
     compact, event_overlaps, write_store_from_trace, StoreOptions, StoreReader, StoreWriter,
 };
-use dynprof::analysis::{slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError};
+use dynprof::analysis::{
+    slice_report, top_report, view_report, CommStats, Profile, ProfileOptions, TraceError,
+};
 use dynprof::obs;
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
 
-/// The obs registry is process-global; tests that flip the recording flag
-/// must not overlap each other.
-static OBS_GATE: Mutex<()> = Mutex::new(());
+/// The obs registry is process-global and recording is gated on a global
+/// flag, so the test that enables observation must not overlap any other
+/// test in this binary: their store traffic would land in its counters.
+/// Tests that write or read a store take `read()`; the obs test takes
+/// `write()`.
+static OBS_GATE: RwLock<()> = RwLock::new(());
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("dynprof-store-it");
@@ -120,6 +125,7 @@ fn reference_sorted(trace: &Trace) -> Trace {
 
 #[test]
 fn seeded_round_trip_matches_reference() {
+    let _g = OBS_GATE.read().unwrap();
     for seed in [1u64, 7, 42] {
         let trace = synth_trace(seed, 8, 200);
         let path = tmp(&format!("rt-{seed}"));
@@ -149,6 +155,7 @@ fn seeded_round_trip_matches_reference() {
 
 #[test]
 fn suspension_exclusion_agrees_between_paths() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(5, 6, 150);
     let path = tmp("suspend");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 32 }).unwrap();
@@ -164,6 +171,7 @@ fn suspension_exclusion_agrees_between_paths() {
 
 #[test]
 fn store_files_are_byte_identical_for_same_seed() {
+    let _g = OBS_GATE.read().unwrap();
     let opts = StoreOptions { chunk_events: 48 };
     let (a, b, c) = (tmp("det-a"), tmp("det-b"), tmp("det-c"));
     write_store_from_trace(&synth_trace(9, 10, 120), &a, opts).unwrap();
@@ -188,6 +196,7 @@ fn store_files_are_byte_identical_for_same_seed() {
 /// reference computes.
 #[test]
 fn thousand_rank_slice_decodes_only_overlapping_chunks() {
+    let _g = OBS_GATE.read().unwrap();
     let ranks = 1_000u32;
     let trace = synth_trace(42, ranks, 40);
     let path = tmp("kilo");
@@ -274,6 +283,7 @@ fn thousand_rank_slice_decodes_only_overlapping_chunks() {
 
 #[test]
 fn compaction_merges_segments_and_remaps_dictionaries() {
+    let _g = OBS_GATE.read().unwrap();
     // Three per-rank-group segments with different dictionary orders.
     let mut paths = Vec::new();
     for (i, names) in [
@@ -337,10 +347,17 @@ fn compaction_merges_segments_and_remaps_dictionaries() {
 
 #[test]
 fn corrupt_stores_fail_with_typed_errors() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(3, 2, 40);
     let path = tmp("corrupt");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 16 }).unwrap();
     let good = std::fs::read(&path).unwrap();
+
+    // No such file.
+    assert!(matches!(
+        StoreReader::open(path.with_extension("missing")),
+        Err(TraceError::Io(_))
+    ));
 
     // Shorter than the 8-byte header.
     std::fs::write(&path, &good[..4]).unwrap();
@@ -415,7 +432,7 @@ fn corrupt_stores_fail_with_typed_errors() {
 
 #[test]
 fn obs_counters_track_store_traffic() {
-    let _gate = OBS_GATE.lock().unwrap();
+    let _g = OBS_GATE.write().unwrap();
     obs::reset();
     obs::set_enabled(true);
     let trace = synth_trace(11, 6, 100);
@@ -464,8 +481,10 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-fn golden_store() -> std::path::PathBuf {
-    let path = tmp("golden");
+/// The golden input store, under a per-test file name so the golden
+/// tests can run in parallel.
+fn golden_store(name: &str) -> std::path::PathBuf {
+    let path = tmp(&format!("golden-{name}"));
     write_store_from_trace(
         &synth_trace(42, 4, 60),
         &path,
@@ -477,7 +496,8 @@ fn golden_store() -> std::path::PathBuf {
 
 #[test]
 fn golden_vgv_top() {
-    let path = golden_store();
+    let _g = OBS_GATE.read().unwrap();
+    let path = golden_store("top");
     let mut r = StoreReader::open(&path).unwrap();
     let report = top_report(&mut r, 10, ProfileOptions::default()).unwrap();
     check_golden("vgv_top.txt", &report);
@@ -486,7 +506,8 @@ fn golden_vgv_top() {
 
 #[test]
 fn golden_vgv_slice() {
-    let path = golden_store();
+    let _g = OBS_GATE.read().unwrap();
+    let path = golden_store("slice");
     let mut r = StoreReader::open(&path).unwrap();
     let info = r.info();
     let span = info.t_end.saturating_sub(info.t_min);
@@ -495,6 +516,19 @@ fn golden_vgv_slice() {
     let (report, stats) = slice_report(&mut r, t0, t1, None, 64).unwrap();
     assert!(stats.chunks_skipped > 0, "{stats:?}");
     check_golden("vgv_slice.txt", &report);
+    std::fs::remove_file(&path).ok();
+}
+
+/// `vgv view --per-thread --width 64 --top 10`: the load-everything
+/// picture. The golden is the flat-file `view`'s output over the same
+/// events, so the store-backed view must match it byte for byte.
+#[test]
+fn golden_vgv_view() {
+    let _g = OBS_GATE.read().unwrap();
+    let path = golden_store("view");
+    let mut r = StoreReader::open(&path).unwrap();
+    let report = view_report(&mut r, 64, true, 10, ProfileOptions::default()).unwrap();
+    check_golden("vgv_view.txt", &report);
     std::fs::remove_file(&path).ok();
 }
 
@@ -604,6 +638,7 @@ fn check_golden_bytes(name: &str, actual: &[u8]) {
 
 #[test]
 fn v1_stores_still_open_read_only() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(9, 3, 50);
     let bytes = build_v1_store(&trace, 32);
     check_golden_bytes("store_v1.vgvs", &bytes);
@@ -630,6 +665,7 @@ fn v1_stores_still_open_read_only() {
 
 #[test]
 fn v1_store_without_footer_salvages_by_decoding() {
+    let _g = OBS_GATE.read().unwrap();
     let trace = synth_trace(10, 2, 40);
     let bytes = build_v1_store(&trace, 16);
     let path = tmp("v1-salvage");
@@ -670,6 +706,7 @@ fn v1_store_without_footer_salvages_by_decoding() {
 
 #[test]
 fn compact_reverifies_and_rewrites_crcs() {
+    let _g = OBS_GATE.read().unwrap();
     let t1 = synth_trace(21, 2, 40);
     let t2 = synth_trace(22, 2, 40);
     let (p1, p2, out) = (tmp("cmp-a"), tmp("cmp-b"), tmp("cmp-out"));
