@@ -725,6 +725,23 @@ fn bench_runtimes() {
             t.elapsed()
         })
     });
+    // Host cost per process of one simulation of 512 processes that
+    // each sleep once and exit: spawn, stack set-up, two dispatches and
+    // teardown, which a Fig 8 pass pays ~51k times. One iteration is one
+    // process; whole simulations run until `iters` processes have.
+    bench("sim/spawn_run_512procs", |iters| {
+        const PROCS: u64 = 512;
+        let sims = iters.div_ceil(PROCS);
+        let t = Instant::now();
+        for _ in 0..sims {
+            let sim = Sim::virtual_time(Machine::test_machine(), 1);
+            for i in 0..PROCS as usize {
+                sim.spawn("p", i % 4, |p| p.sleep(SimTime::from_micros(1)));
+            }
+            black_box(sim.run());
+        }
+        t.elapsed().mul_f64(iters as f64 / (sims * PROCS) as f64)
+    });
     // Host cost of one full VT_confsync safe point at 64 ranks.
     bench("sim/confsync_64ranks", |iters| {
         let t = Instant::now();

@@ -31,7 +31,21 @@
 //! neighbouring coroutine, and because pages are committed lazily a
 //! 10k-rank simulation costs virtual address space, not resident memory.
 //! The usable size defaults to [`DEFAULT_STACK_BYTES`] and can be raised
-//! with `DYNPROF_CO_STACK_KB` for unusually deep process bodies.
+//! with `DYNPROF_CO_STACK_KB` for unusually deep process bodies; a value
+//! that is not a KiB count, or that would overflow, panics on first use
+//! with the variable's name and value.
+//!
+//! **Stacks are pooled per thread.** A finished coroutine's stack goes
+//! onto a thread-local free list, guard still in place, and the next
+//! spawn on that thread pops it instead of mapping a new one. A harness
+//! that builds hundreds of short simulations back to back (Fig 8 spawns
+//! ~51k processes per pass) would otherwise pay an `mmap`, an
+//! `mprotect`, a `munmap` and one or two first-touch page faults per
+//! process. [`release_spare`] unmaps whatever is still on the list; the
+//! engine calls it when a run starts, once that simulation's spawns
+//! have taken what they need, so the spares of an earlier, larger
+//! simulation never stay resident under a later one. The list itself
+//! unmaps its stacks when the thread exits.
 //!
 //! Only x86-64 Linux is implemented (the System V ABI switch in
 //! `global_asm!`); [`supported`] is `false` elsewhere and the engine
@@ -63,6 +77,7 @@ pub(crate) struct FinalSwitch {
 mod imp {
     use super::BootFn;
     use core::ffi::c_void;
+    use std::cell::RefCell;
     use std::sync::OnceLock;
 
     // Raw mmap/mprotect/munmap declarations (x86-64 Linux values): the
@@ -93,20 +108,40 @@ mod imp {
     const PAGE: usize = 4096;
     /// Guard region at the low end of every stack: four pages, so even a
     /// large spilled frame that skips the first page still faults.
-    const GUARD_BYTES: usize = 4 * PAGE;
+    pub(super) const GUARD_BYTES: usize = 4 * PAGE;
     /// Default usable stack per coroutine (virtual; committed lazily).
     const DEFAULT_STACK_BYTES: usize = 1024 * 1024;
+    /// Environment variable overriding the usable stack size, in KiB.
+    const STACK_KB_VAR: &str = "DYNPROF_CO_STACK_KB";
 
-    /// Usable stack size, read once from `DYNPROF_CO_STACK_KB`.
+    /// Usable stack size, read once from `DYNPROF_CO_STACK_KB`. A value
+    /// that is not a KiB count, or whose mapping would not fit the
+    /// address space, panics on the first read with the variable's name
+    /// and value.
     pub(crate) fn stack_bytes() -> usize {
         static BYTES: OnceLock<usize> = OnceLock::new();
-        *BYTES.get_or_init(|| {
-            std::env::var("DYNPROF_CO_STACK_KB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .map(|kb| (kb.max(16) * 1024).next_multiple_of(PAGE))
-                .unwrap_or(DEFAULT_STACK_BYTES)
+        *BYTES.get_or_init(|| match std::env::var_os(STACK_KB_VAR) {
+            None => DEFAULT_STACK_BYTES,
+            Some(v) => v
+                .to_str()
+                .ok_or_else(|| "not UTF-8".to_string())
+                .and_then(parse_stack_kb)
+                .unwrap_or_else(|e| panic!("{STACK_KB_VAR}={v:?}: {e}")),
         })
+    }
+
+    /// Usable stack bytes for a `DYNPROF_CO_STACK_KB` value: at least
+    /// 16 KiB, rounded up to whole pages, and small enough that the
+    /// mapping (guard included) fits a `usize`.
+    pub(super) fn parse_stack_kb(v: &str) -> Result<usize, String> {
+        let kb: usize = v
+            .parse()
+            .map_err(|e| format!("not a stack size in KiB ({e})"))?;
+        kb.max(16)
+            .checked_mul(1024)
+            .and_then(|b| b.checked_next_multiple_of(PAGE))
+            .filter(|b| b.checked_add(GUARD_BYTES).is_some())
+            .ok_or_else(|| format!("{kb} KiB of stack overflows the address space"))
     }
 
     // The context switch and the entry thunk.
@@ -208,15 +243,57 @@ mod imp {
         dynprof_sim_co_switch(save, to);
     }
 
-    /// A guard-paged `mmap`ed coroutine stack.
-    struct CoStack {
-        map: *mut u8,
+    /// Finished stacks kept for reuse by this thread's next spawns, as
+    /// `(map, len)`, most recently freed last. Each still carries its
+    /// `PROT_NONE` guard. Whatever is left is unmapped at thread exit.
+    struct FreeStacks(Vec<(*mut u8, usize)>);
+
+    impl Drop for FreeStacks {
+        fn drop(&mut self) {
+            for (map, len) in self.0.drain(..) {
+                unmap(map, len);
+            }
+        }
+    }
+
+    thread_local! {
+        static FREE: RefCell<FreeStacks> = const { RefCell::new(FreeStacks(Vec::new())) };
+    }
+
+    /// Return one stack's whole mapping to the kernel.
+    fn unmap(map: *mut u8, len: usize) {
+        // SAFETY: `(map, len)` is a whole stack mapping that its sole
+        // owner (a dropped `CoStack` or the free list) is giving up; no
+        // coroutine runs on a stack once its `CoStack` is dropped.
+        let rc = unsafe { munmap(map as *mut c_void, len) };
+        debug_assert_eq!(rc, 0, "coroutine stack munmap failed");
+    }
+
+    /// Unmap every stack on this thread's free list: the spares that the
+    /// spawns since the last release did not take.
+    pub(crate) fn release_spare() {
+        FREE.with_borrow_mut(|free| free.0.drain(..).for_each(|(map, len)| unmap(map, len)));
+    }
+
+    /// A guard-paged `mmap`ed coroutine stack. Dropping it returns it to
+    /// this thread's free list.
+    pub(super) struct CoStack {
+        pub(super) map: *mut u8,
         len: usize,
     }
 
     impl CoStack {
-        fn new(usable: usize) -> CoStack {
+        /// The most recently freed stack of this size on this thread, or
+        /// a freshly mapped one.
+        pub(super) fn new(usable: usize) -> CoStack {
             let len = usable + GUARD_BYTES;
+            let pooled = FREE.with_borrow_mut(|free| {
+                let i = free.0.iter().rposition(|&(_, l)| l == len)?;
+                Some(free.0.remove(i).0)
+            });
+            if let Some(map) = pooled {
+                return CoStack { map, len };
+            }
             unsafe {
                 let map = mmap(
                     core::ptr::null_mut(),
@@ -247,9 +324,14 @@ mod imp {
 
     impl Drop for CoStack {
         fn drop(&mut self) {
-            unsafe {
-                let rc = munmap(self.map as *mut c_void, self.len);
-                debug_assert_eq!(rc, 0, "coroutine stack munmap failed");
+            let (map, len) = (self.map, self.len);
+            // The free list is gone once the thread's locals are torn
+            // down; unmap directly then.
+            if FREE
+                .try_with(|free| free.borrow_mut().0.push((map, len)))
+                .is_err()
+            {
+                unmap(map, len);
             }
         }
     }
@@ -260,7 +342,8 @@ mod imp {
         /// Resume point. Valid only while the coroutine is suspended;
         /// while it runs this holds the *previous* (stale) save.
         pub(crate) resume_sp: *mut u8,
-        stack: CoStack,
+        /// Held only for its `Drop`, which returns the stack to the pool.
+        _stack: CoStack,
     }
 
     /// Default MXCSR (all exceptions masked, round-to-nearest) and x87
@@ -277,7 +360,9 @@ mod imp {
             let stack = CoStack::new(usable_stack);
             let top = stack.top();
             // Fabricate the suspended-context image described at the
-            // `global_asm!` block (offsets from the stack top).
+            // `global_asm!` block (offsets from the stack top). A pooled
+            // stack still holds its last owner's frames, so this runs
+            // for every stack, fresh or reused.
             unsafe {
                 let slot = |off: usize| top.sub(off) as *mut u64;
                 let entry: unsafe extern "C" fn() = dynprof_sim_co_entry;
@@ -291,15 +376,9 @@ mod imp {
                 *slot(64) = FP_DEFAULTS;
                 RawCo {
                     resume_sp: top.sub(64),
-                    stack,
+                    _stack: stack,
                 }
             }
-        }
-
-        /// Bytes of usable stack (diagnostics).
-        #[allow(dead_code)]
-        pub(crate) fn usable_bytes(&self) -> usize {
-            self.stack.len - GUARD_BYTES
         }
     }
 }
@@ -314,6 +393,9 @@ mod imp {
     pub(crate) fn stack_bytes() -> usize {
         unreachable!("coroutine backend unsupported on this target")
     }
+
+    /// No stacks are ever pooled here.
+    pub(crate) fn release_spare() {}
 
     pub(crate) unsafe fn switch(_save: *mut *mut u8, _to: *mut u8) {
         unreachable!("coroutine backend unsupported on this target")
@@ -330,10 +412,11 @@ mod imp {
     }
 }
 
-pub(crate) use imp::{stack_bytes, switch, RawCo};
+pub(crate) use imp::{release_spare, stack_bytes, switch, RawCo};
 
 #[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
 mod tests {
+    use super::imp::{parse_stack_kb, CoStack, GUARD_BYTES};
     use super::*;
     use core::ffi::c_void;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -349,8 +432,10 @@ mod tests {
         steps: usize,
     }
 
-    #[test]
-    fn coroutine_bounces_to_main_and_back() {
+    /// Run one coroutine that yields to main once and then finishes, on
+    /// a `usable`-byte stack; drop it (returning the stack to the pool)
+    /// and report the stack pointer it was fabricated with.
+    fn bounce(usable: usize) -> *mut u8 {
         let slots = Box::into_raw(Box::new(Slots {
             main_sp: core::ptr::null_mut(),
             co_sp: core::ptr::null_mut(),
@@ -366,7 +451,8 @@ mod tests {
             }
         });
         let boot_raw = Box::into_raw(Box::new(boot)) as *mut c_void;
-        let co = RawCo::new(64 * 1024, boot_raw);
+        let co = RawCo::new(usable, boot_raw);
+        let fabricated = co.resume_sp;
         unsafe {
             // First resume: runs the thunk, enters the boot closure.
             switch(&mut (*slots).main_sp, co.resume_sp);
@@ -376,7 +462,97 @@ mod tests {
             assert_eq!((*slots).steps, 2);
             drop(Box::from_raw(slots));
         }
-        drop(co); // finished; unmapping its stack is safe now
+        drop(co); // finished; releasing its stack is safe now
+        fabricated
+    }
+
+    #[test]
+    fn coroutine_bounces_to_main_and_back() {
+        bounce(64 * 1024);
+    }
+
+    /// Permissions of the mapping that contains `addr`, as
+    /// `/proc/self/maps` lists them (`None`: unmapped).
+    fn perms_at(addr: usize) -> Option<String> {
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("read /proc/self/maps");
+        maps.lines().find_map(|line| {
+            let mut fields = line.split_whitespace();
+            let (lo, hi) = fields.next()?.split_once('-')?;
+            let lo = usize::from_str_radix(lo, 16).ok()?;
+            let hi = usize::from_str_radix(hi, 16).ok()?;
+            (lo <= addr && addr < hi).then(|| fields.next().unwrap_or_default().to_string())
+        })
+    }
+
+    /// Is there a live coroutine stack at `map`: `PROT_NONE` through the
+    /// guard, readable and writable right above it?
+    fn guarded_stack_at(map: *mut u8) -> bool {
+        let map = map as usize;
+        perms_at(map).as_deref() == Some("---p")
+            && perms_at(map + GUARD_BYTES - 1).as_deref() == Some("---p")
+            && perms_at(map + GUARD_BYTES).as_deref() == Some("rw-p")
+    }
+
+    #[test]
+    fn finished_stack_is_reused_lifo_and_runs_again() {
+        const USABLE: usize = 72 * 1024;
+        let first = bounce(USABLE);
+        // The second coroutine gets the first one's stack back, and its
+        // freshly fabricated frame runs despite the stale contents.
+        assert_eq!(bounce(USABLE), first);
+        let (a, b) = (CoStack::new(USABLE), CoStack::new(USABLE));
+        let (a_map, b_map) = (a.map, b.map);
+        assert_ne!(a_map, b_map);
+        drop(a);
+        drop(b);
+        assert_eq!(
+            CoStack::new(USABLE).map,
+            b_map,
+            "last freed comes back first"
+        );
+    }
+
+    #[test]
+    fn reused_stack_keeps_its_guard() {
+        const USABLE: usize = 80 * 1024;
+        let fresh = CoStack::new(USABLE);
+        let map = fresh.map;
+        drop(fresh);
+        let reused = CoStack::new(USABLE);
+        assert_eq!(reused.map, map);
+        assert!(guarded_stack_at(map), "guard lost on reuse");
+    }
+
+    #[test]
+    fn release_spare_unmaps_pooled_stacks() {
+        const USABLE: usize = 88 * 1024;
+        let stacks: Vec<CoStack> = (0..3).map(|_| CoStack::new(USABLE)).collect();
+        let maps: Vec<*mut u8> = stacks.iter().map(|s| s.map).collect();
+        drop(stacks);
+        assert!(
+            maps.iter().all(|&m| guarded_stack_at(m)),
+            "pooled stacks stay mapped"
+        );
+        release_spare();
+        assert!(
+            maps.iter().all(|&m| !guarded_stack_at(m)),
+            "released stacks are unmapped"
+        );
+    }
+
+    #[test]
+    fn stack_kb_parse_is_checked() {
+        assert!(parse_stack_kb("abc").is_err());
+        assert!(parse_stack_kb("").is_err());
+        assert!(parse_stack_kb("-64").is_err());
+        // 2^54 KiB is 2^64 bytes: the multiplication used to wrap to a
+        // 0-byte stack.
+        assert!(parse_stack_kb("18014398509481984").is_err());
+        assert!(parse_stack_kb(&(usize::MAX / 1024).to_string()).is_err());
+        assert!(parse_stack_kb(&usize::MAX.to_string()).is_err());
+        assert_eq!(parse_stack_kb("0"), Ok(16 * 1024));
+        assert_eq!(parse_stack_kb("256"), Ok(256 * 1024));
+        assert_eq!(parse_stack_kb("17"), Ok(20 * 1024), "whole pages");
     }
 
     #[test]

@@ -356,6 +356,21 @@ struct CoSlot {
     boot_raw: *mut c_void,
 }
 
+impl CoSlot {
+    /// A never-started slot whose first resume runs `boot`. Built before
+    /// the spawner takes the `inner` lock: the stack-size read (which
+    /// panics on a bad `DYNPROF_CO_STACK_KB`) and any `mmap` stay off it.
+    fn new(boot: co::BootFn) -> Box<CoSlot> {
+        let usable = co::stack_bytes();
+        let boot_raw = Box::into_raw(Box::new(boot)) as *mut c_void;
+        Box::new(CoSlot {
+            raw: co::RawCo::new(usable, boot_raw),
+            started: false,
+            boot_raw,
+        })
+    }
+}
+
 impl Drop for CoSlot {
     fn drop(&mut self) {
         if !self.started && !self.boot_raw.is_null() {
@@ -669,15 +684,10 @@ impl Engine {
     ///
     /// Caller must hold one of the serializations above; `pid` must be
     /// the slot index `register_proc` just assigned.
-    unsafe fn co_register(&self, pid: Pid, boot: co::BootFn) {
+    unsafe fn co_register(&self, pid: Pid, slot: Box<CoSlot>) {
         let pool = &mut *self.co.0.get();
         debug_assert_eq!(pool.slots.len(), pid, "coroutine pids must be dense");
-        let boot_raw = Box::into_raw(Box::new(boot)) as *mut c_void;
-        pool.slots.push(Some(Box::new(CoSlot {
-            raw: co::RawCo::new(co::stack_bytes(), boot_raw),
-            started: false,
-            boot_raw,
-        })));
+        pool.slots.push(Some(slot));
     }
 
     /// Resume `next` (already marked `Running`, clock already lifted)
@@ -905,19 +915,19 @@ impl Engine {
     /// spawners, including their coroutine-pool pushes.
     fn register_proc(
         &self,
-        name: &str,
+        name: String,
         node: usize,
         clock: Arc<ClockCell>,
-        boot: Option<co::BootFn>,
+        co_slot: Option<Box<CoSlot>>,
     ) -> Pid {
         let start = clock.get();
         let mut g = self.inner.lock();
         let pid = g.procs.len();
         if crate::hb::compiled() {
-            self.hb.register(pid, name);
+            self.hb.register(pid, &name);
         }
         g.procs.push(ProcSlot {
-            name: name.to_string(),
+            name,
             node,
             state: PState::Blocked,
             clock,
@@ -931,10 +941,10 @@ impl Engine {
             h.node_of.push(node);
             h.push_wake(start, pid);
         }
-        if let Some(boot) = boot {
+        if let Some(slot) = co_slot {
             // SAFETY: serialized by the `inner` hold above (pre-run
             // spawners) or by being the driving thread (`spawn_child`).
-            unsafe { self.co_register(pid, boot) };
+            unsafe { self.co_register(pid, slot) };
         }
         pid
     }
@@ -1121,10 +1131,14 @@ impl Sim {
             // classifies the exit, drops everything it owns (including
             // its engine reference — `run()` keeps the engine alive),
             // and returns the final switch for the coroutine entry point
-            // to perform from an owning-nothing frame.
-            let eng2 = Arc::clone(&self.eng);
+            // to perform from an owning-nothing frame. The closure holds
+            // the engine weakly until it starts: the engine owns the
+            // closure, so a strong reference would keep a `Sim` dropped
+            // without `run` (and its stacks) alive forever.
+            let eng_weak = Arc::downgrade(&self.eng);
             let body: Box<dyn FnOnce(&Proc) + Send> = Box::new(f);
             let boot: co::BootFn = Box::new(move || {
+                let eng2 = eng_weak.upgrade().expect("run() holds the engine");
                 // First dispatch: we are the current process by
                 // definition, which is how the closure learns its pid
                 // (it is built before the pid is assigned).
@@ -1153,12 +1167,13 @@ impl Sim {
                 // it, and `run()` holds a strong engine reference.
                 unsafe { (*eng_ptr).co_finish(pid, exit) }
             });
-            return eng.register_proc(&name, node, clock, Some(boot));
+            return eng.register_proc(name, node, clock, Some(CoSlot::new(boot)));
         }
-        let pid = eng.register_proc(&name, node, clock, None);
+        let thread_name = format!("sim-{name}");
+        let pid = eng.register_proc(name, node, clock, None);
         let eng2 = Arc::clone(&self.eng);
         let handle = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
+            .name(thread_name)
             .spawn(move || {
                 let proc_ = Proc {
                     eng: Arc::clone(&eng2),
@@ -1328,6 +1343,10 @@ impl Sim {
     /// deadlock verdict) or a process panicked — never on the per-event
     /// path.
     fn run_virtual_co(self) -> SimTime {
+        // This simulation's spawns have taken their stacks from the
+        // thread's pool; unmap the rest so an earlier, larger run's
+        // spares do not stay resident under this one.
+        co::release_spare();
         loop {
             let mut g = self.eng.inner.lock();
             if g.panicked || g.live == 0 {
@@ -1873,6 +1892,109 @@ mod tests {
             });
             assert_eq!(sim.run(), SimTime::from_micros(90));
         }
+    }
+
+    /// The fabricated stack pointers of `sim`'s coroutine slots, sorted:
+    /// which pooled or fresh stacks its spawns took.
+    fn stack_tops(sim: &Sim) -> Vec<usize> {
+        // SAFETY: pre-run, on the spawning thread; nothing else touches
+        // the pool.
+        let pool = unsafe { &*sim.eng.co.0.get() };
+        let mut tops: Vec<usize> = pool
+            .slots
+            .iter()
+            .map(|s| s.as_ref().expect("unstarted slot").raw.resume_sp as usize)
+            .collect();
+        tops.sort_unstable();
+        tops
+    }
+
+    /// Four coroutine processes with seeded sleeps: their stack tops
+    /// and the run's dispatch log.
+    fn jittered_run() -> (Vec<usize>, Vec<(Pid, SimTime)>) {
+        let sim = Sim::virtual_time_with_backend(machine(), 7, ProcBackend::Coroutine);
+        let log = sim.record_dispatches();
+        for i in 0..4usize {
+            sim.spawn(format!("p{i}"), i, |p| {
+                for _ in 0..3 {
+                    p.sleep(p.jitter(SimTime::from_micros(50)) + SimTime::from_nanos(1));
+                }
+            });
+        }
+        let tops = stack_tops(&sim);
+        sim.run();
+        (tops, log.entries())
+    }
+
+    /// On a fresh thread, run `scenario` (which builds a four-process
+    /// coroutine simulation, ends it somehow, and returns its stack
+    /// tops); then check the next simulation on that thread runs on
+    /// exactly those stacks and dispatches exactly like one on a thread
+    /// with an empty pool.
+    fn assert_stacks_recycled(scenario: fn() -> Vec<usize>) {
+        let fresh = std::thread::spawn(|| jittered_run().1)
+            .join()
+            .expect("fresh run");
+        std::thread::spawn(move || {
+            let freed = scenario();
+            assert_eq!(freed.len(), 4);
+            let (tops, log) = jittered_run();
+            assert_eq!(
+                tops, freed,
+                "the next simulation reuses the returned stacks"
+            );
+            assert_eq!(log, fresh, "reused stacks change nothing simulated");
+        })
+        .join()
+        .expect("recycling run");
+    }
+
+    #[test]
+    fn panicked_run_returns_its_stacks() {
+        assert_stacks_recycled(|| {
+            let sim = Sim::virtual_time_with_backend(machine(), 1, ProcBackend::Coroutine);
+            sim.spawn("bad", 0, |p| {
+                p.sleep(SimTime::from_micros(1));
+                panic!("boom");
+            });
+            for i in 1..4 {
+                sim.spawn(format!("other{i}"), i, |p| p.sleep(SimTime::from_secs(1)));
+            }
+            let tops = stack_tops(&sim);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            assert!(res.is_err(), "the process panic propagates");
+            tops
+        });
+    }
+
+    #[test]
+    fn deadlocked_run_returns_its_stacks() {
+        assert_stacks_recycled(|| {
+            let sim = Sim::virtual_time_with_backend(machine(), 1, ProcBackend::Coroutine);
+            for i in 0..4 {
+                sim.spawn(format!("stuck{i}"), i, |p| {
+                    p.sleep(SimTime::from_micros(1));
+                    p.block();
+                });
+            }
+            let tops = stack_tops(&sim);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            assert!(res.is_err(), "the deadlock verdict panics");
+            tops
+        });
+    }
+
+    #[test]
+    fn unrun_sim_returns_its_stacks() {
+        assert_stacks_recycled(|| {
+            let sim = Sim::virtual_time_with_backend(machine(), 1, ProcBackend::Coroutine);
+            for i in 0..4 {
+                sim.spawn(format!("never{i}"), i, |p| p.sleep(SimTime::from_micros(1)));
+            }
+            let tops = stack_tops(&sim);
+            drop(sim);
+            tops
+        });
     }
 
     #[test]
